@@ -213,16 +213,14 @@ def replicate_estimates(
     return out
 
 
-def _jackknife_variance_se(x: np.ndarray) -> np.ndarray:
-    """Delete-one jackknife SE of the per-column ddof=1 variance of x (R, P).
-    Needs R >= 3; returns NaN below that."""
+def _loo_variances(x: np.ndarray) -> np.ndarray:
+    """Delete-one ddof=1 variances of the columns of x (R, P), from the
+    running sums in O(R P): row i holds the variance without replicate i.
+    Needs R >= 3."""
     r = x.shape[0]
-    if r < 3:
-        return np.full(x.shape[1], np.nan)
     t = x.sum(axis=0)
     q = (x**2).sum(axis=0)
-    loo = (q - x**2 - (t - x) ** 2 / (r - 1)) / (r - 2)
-    return np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
+    return (q - x**2 - (t - x) ** 2 / (r - 1)) / (r - 2)
 
 
 def _jackknife_stat_se(loo: np.ndarray) -> np.ndarray:
@@ -233,18 +231,21 @@ def _jackknife_stat_se(loo: np.ndarray) -> np.ndarray:
 
 def report_from_estimates(x: np.ndarray, S: int, tag: str) -> VarianceReport:
     """Summarise an (R, P) array of replicate estimates (as produced by
-    replicate_estimates) into a VarianceReport."""
+    replicate_estimates) into a VarianceReport. The jackknife SEs of the
+    variances need R >= 3 and are NaN below that."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected an (R, P) estimate array")
     if x.shape[0] < 2:
         raise ValueError("variance needs at least 2 replicates")
     r = x.shape[0]
+    var = np.var(x, axis=0, ddof=1)
+    var_se = _jackknife_stat_se(_loo_variances(x)) if r >= 3 else np.full(x.shape[1], np.nan)
     return VarianceReport(
-        per_coordinate_variance=np.var(x, axis=0, ddof=1),
+        per_coordinate_variance=var,
         per_coordinate_mean=np.mean(x, axis=0),
-        standard_errors=_jackknife_variance_se(x),
-        mean_standard_errors=np.std(x, axis=0, ddof=1) / np.sqrt(r),
+        standard_errors=var_se,
+        mean_standard_errors=np.sqrt(var) / np.sqrt(r),
         R=r,
         S=S,
         estimator_tag=tag,
@@ -294,18 +295,16 @@ def paired_difference_from_estimates(
     xb = np.asarray(xb, dtype=float)
     if xa.shape != xb.shape or xa.ndim != 2:
         raise ValueError("expected two (R, P) arrays of equal shape")
-    r = xa.shape[0]
-    diff = np.var(xa, axis=0, ddof=1) - np.var(xb, axis=0, ddof=1)
-    if r < 3:
+    report_a = report_from_estimates(xa, S, tag_a)
+    report_b = report_from_estimates(xb, S, tag_b)
+    if xa.shape[0] < 3:
         diff_se = np.full(xa.shape[1], np.nan)
     else:
-        loo_a = ((xa**2).sum(0) - xa**2 - (xa.sum(0) - xa) ** 2 / (r - 1)) / (r - 2)
-        loo_b = ((xb**2).sum(0) - xb**2 - (xb.sum(0) - xb) ** 2 / (r - 1)) / (r - 2)
-        diff_se = _jackknife_stat_se(loo_a - loo_b)
+        diff_se = _jackknife_stat_se(_loo_variances(xa) - _loo_variances(xb))
     return PairedVarianceDifference(
-        report_a=report_from_estimates(xa, S, tag_a),
-        report_b=report_from_estimates(xb, S, tag_b),
-        diff=diff,
+        report_a=report_a,
+        report_b=report_b,
+        diff=report_a.per_coordinate_variance - report_b.per_coordinate_variance,
         diff_se=diff_se,
     )
 

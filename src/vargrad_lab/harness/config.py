@@ -77,7 +77,7 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "logreg.n_data": FieldSpec("int", 100, minimum=1),
         "logreg.steps": FieldSpec("int", 1000, minimum=1),
         "logreg.train_s": FieldSpec("int", 4, minimum=2),
-        "optimizer.learning_rate": FieldSpec("float", 0.001),
+        "optimizer.learning_rate": FieldSpec("float", 0.001, minimum=1e-12),
         "logging.every": FieldSpec("int", 10, minimum=1),
         "diagnostics.n_delta": FieldSpec("int", 2000, minimum=2),
         "diagnostics.n_is": FieldSpec("int", 10000, minimum=2),

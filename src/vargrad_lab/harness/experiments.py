@@ -469,10 +469,14 @@ def run_train_logreg(cfg: ExperimentConfig) -> str:
         ests = analysis.replicate_estimates(
             q, model, split_stream(cfg.seed, "diag-variance", t), var_S, var_R, specs
         )
-        reports = {s.name: analysis.report_from_estimates(ests[s.name], var_S, s.tag) for s in specs}
         pair = analysis.paired_difference_from_estimates(
             ests["reinforce"], ests["vargrad"], var_S, REINFORCE_TAG, VARGRAD_TAG
         )
+        # the pair already summarised the two estimators it compares
+        reports = {"reinforce": pair.report_a, "vargrad": pair.report_b}
+        for s in specs:
+            if s.name not in reports:
+                reports[s.name] = analysis.report_from_estimates(ests[s.name], var_S, s.tag)
         for k in range(q.num_params):
             row = {
                 "step": t,

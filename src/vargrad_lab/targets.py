@@ -163,9 +163,24 @@ def log_joint(target: Target, z) -> np.ndarray | float:
     if isinstance(target, LogRegModel):
         d = target.n_features
         w, b = z[..., :d], z[..., d:]
-        eta = w @ target.X.T + b  # (..., N)
-        # y*log(sigmoid) + (1-y)*log(1-sigmoid) == y*eta - softplus(eta)
-        loglik = np.sum(target.y * eta - np.logaddexp(0.0, eta), axis=-1)
+        eta = w @ target.X.T  # (..., N)
+        eta += b
+        # y*log(sigmoid) + (1-y)*log(1-sigmoid) == y*eta - softplus(eta). The
+        # label term folds into the latent: sum_n y_n eta_n = z . (X^T y, sum y),
+        # so it costs one (..., D+1) dot product and no pass over eta. The
+        # softplus is max(eta, 0) + log1p(exp(-|eta|)), finite at any eta and
+        # evaluated in place on one buffer, about a third of the cost of
+        # np.logaddexp(0, eta). numpy's vectorised exp and log1p round
+        # differently from the scalar libm calls inside logaddexp, so the
+        # two softplus values differ by a few ULP on some elements and the
+        # log joint by about 1e-15 relative.
+        label = z @ np.append(target.y @ target.X, target.y.sum())
+        sp = np.abs(eta)
+        np.negative(sp, out=sp)
+        np.exp(sp, out=sp)
+        np.log1p(sp, out=sp)
+        sp += np.maximum(eta, 0.0, out=eta)
+        loglik = label - np.sum(sp, axis=-1)
         log_prior_w = -0.5 * np.sum(w**2, axis=-1) / target.prior_w_var - 0.5 * d * np.log(
             2.0 * np.pi * target.prior_w_var
         )

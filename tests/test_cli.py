@@ -1,10 +1,13 @@
 """Exit codes, overrides, and error reporting for the console entry point."""
 
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vargrad_lab
 from vargrad_lab.harness import cli
 from vargrad_lab.optim import NonFiniteGradientError
 
@@ -63,6 +66,20 @@ def test_unreadable_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr", ["0", "-1"])
+def test_non_positive_learning_rate_is_config_error(tmp_path, capsys, lr):
+    cfg = write_cfg(
+        tmp_path,
+        f"experiment = train-logreg\nseed = 1\nlogreg.dims = 2\noptimizer.learning_rate = {lr}\n",
+    )
+    out = tmp_path / "t.csv"
+    code = cli.main(["train-logreg", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "optimizer.learning_rate" in err
+    assert not out.exists()
+
+
 def test_unwritable_output_directory(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "no" / "such" / "dir" / "u.csv"
@@ -119,15 +136,19 @@ def test_subcommand_is_required():
 
 
 def test_console_script(tmp_path):
-    exe = shutil.which("vargrad-lab")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    # run the module entry point in a fresh interpreter, with the package's
+    # own source root first on its path, so the test needs no installed script
+    src_root = str(Path(vargrad_lab.__file__).resolve().parents[1])
+    path = [src_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     cfg = write_cfg(tmp_path)
     out = tmp_path / "script.csv"
+    module = [sys.executable, "-m", "vargrad_lab.harness.cli"]
     proc = subprocess.run(
-        [exe, "unbiasedness", "--config", str(cfg), "--out", str(out)],
+        module + ["unbiasedness", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(out)

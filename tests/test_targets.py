@@ -97,11 +97,23 @@ def test_logreg_log_joint_hand_value():
     assert log_joint(m, np.array([w, b])) == pytest.approx(want, rel=1e-12)
 
 
+def _log_priors(m, w, b):
+    d = m.n_features
+    log_prior_w = -0.5 * (np.sum(w**2) / m.prior_w_var + d * math.log(2.0 * math.pi * m.prior_w_var))
+    log_prior_b = -0.5 * (b**2 / m.prior_b_var + math.log(2.0 * math.pi * m.prior_b_var))
+    return log_prior_w + log_prior_b
+
+
 def test_logreg_log_joint_stable_at_extreme_weights():
     m = _tiny_logreg()
     for w in (1e3, -1e3):
         val = log_joint(m, np.array([w, 0.0]))
+        # every |eta| >= 250 here, so log(1 + exp(-|eta|)) vanishes below
+        # rounding and the likelihood is exactly y*eta - max(eta, 0)
+        eta = m.X[:, 0] * w
+        loglik = float(np.sum(m.y * eta - np.maximum(eta, 0.0)))
         assert np.isfinite(val)
+        assert val == pytest.approx(loglik + _log_priors(m, np.array([w]), 0.0), rel=1e-12)
 
 
 def test_logreg_batched_z():
@@ -110,6 +122,20 @@ def test_logreg_batched_z():
     out = log_joint(m, z)
     assert out.shape == (4,)
     np.testing.assert_allclose(out, log_joint(m, np.zeros(m.dim)))
+
+
+def test_logreg_batched_z_matches_per_row_reference():
+    # a non-zero batch catches a misplaced bias or label term, which the
+    # all-zeros batch above cannot
+    m = synth_logreg_dataset(np.random.default_rng(23), N=40, D=4)
+    z = np.random.default_rng(24).normal(0.0, 1.5, size=(3, 5, m.dim))
+    out = log_joint(m, z)
+    assert out.shape == (3, 5)
+    for idx in np.ndindex(3, 5):
+        w, b = z[idx][:-1], z[idx][-1]
+        eta = m.X @ w + b
+        loglik = float(np.sum(m.y * np.log(expit(eta)) + (1 - m.y) * np.log(expit(-eta))))
+        assert out[idx] == pytest.approx(loglik + _log_priors(m, w, b), rel=1e-12)
 
 
 def test_logreg_validation():
