@@ -23,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, losses
-from .estimators import CV_TAG, REINFORCE_TAG, VARGRAD_TAG
+from .estimators import (
+    CV_TAG,
+    REINFORCE_TAG,
+    VARGRAD_TAG,
+    batch_sums,
+    combine,
+    cv_coefficient,
+    draw_f,
+)
 from .families import (
     DiagGaussianParams,
     MeanFieldBernoulliParams,
@@ -38,7 +46,9 @@ from .gaussian_oracles import (
     VARIANCE_CONVENTION,
     delta_cv_analytic,
 )
-from .targets import DiscreteToyModel, GaussianTarget, Target, log_joint
+# log_joint is no longer called here, but perfbench/checks.py reads the
+# analysis.log_joint binding, so it stays importable from this module.
+from .targets import DiscreteToyModel, GaussianTarget, Target, log_joint  # noqa: F401
 
 CV_SAMPLED_TAG = "cv_sampled"
 
@@ -151,13 +161,11 @@ class EstimatorSpec:
             raise ValueError("cv_sampled needs s_extra >= 2")
 
 
-def _f_and_scores(params: Params, target: Target, rng, n: int, shape: tuple):
-    """Draw n latents and return f and scores reshaped to shape + trailing axes."""
-    z = families.draw(params, rng, n)
-    f = np.asarray(families.log_density(params, z) - log_joint(target, z), float)
+def _draw_block(params: Params, target: Target, rng, rows: int, S: int):
+    """rows * S fresh draws as f (rows, S) and scores (rows, S, P)."""
+    z, f = draw_f(params, target, rng, rows * S)
     sc = families.score(params, z)
-    d = z.shape[-1]
-    return f.reshape(shape), sc.reshape(shape + (sc.shape[-1],)), d
+    return f.reshape(rows, S), sc.reshape(rows, S, sc.shape[-1])
 
 
 def replicate_estimates(
@@ -173,7 +181,8 @@ def replicate_estimates(
     Returns an (R, P) array per spec name. All specs see the same R batches
     of S samples; cv_sampled specs additionally consume an independent
     (R, s_extra) block each, drawn after the shared block of every chunk in
-    spec order, so the stream layout is deterministic.
+    spec order, so the stream layout is deterministic. Each chunk is reduced
+    to its batch sums once, and every spec is a combine of those sums.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -190,24 +199,13 @@ def replicate_estimates(
     start = 0
     while start < R:
         rows = min(chunk_rows, R - start)
-        f, sc, _ = _f_and_scores(params, target, rng, rows * S, (rows, S))
-        fdotsc = np.einsum("rs,rsp->rp", f, sc)
-        mean_sc = sc.mean(axis=1)
+        sums = batch_sums(*_draw_block(params, target, rng, rows, S))
         for spec in specs:
-            if spec.tag == REINFORCE_TAG:
-                est = fdotsc / S
-            elif spec.tag == VARGRAD_TAG:
-                est = (fdotsc - f.mean(axis=1)[:, None] * sc.sum(axis=1)) / (S - 1)
-            elif spec.tag == CV_TAG:
-                est = fdotsc / S - spec.a * mean_sc
-            else:  # cv_sampled: fresh coefficient per replicate
-                fe, se, _ = _f_and_scores(params, target, rng, rows * spec.s_extra, (rows, spec.s_extra))
-                fse = fe[..., None] * se
-                se_c = se - se.mean(axis=1, keepdims=True)
-                num = np.sum((fse - fse.mean(axis=1, keepdims=True)) * se_c, axis=1)
-                den = np.sum(se_c**2, axis=1)
-                a_r = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.nan)
-                est = fdotsc / S - a_r * mean_sc
+            if spec.tag == CV_SAMPLED_TAG:  # fresh coefficient per replicate
+                a = cv_coefficient(*_draw_block(params, target, rng, rows, spec.s_extra))
+                est = combine(sums, CV_TAG, a)
+            else:
+                est = combine(sums, spec.tag, spec.a)
             out[spec.name][start : start + rows] = est
         start += rows
     return out
@@ -250,22 +248,6 @@ def report_from_estimates(x: np.ndarray, S: int, tag: str) -> VarianceReport:
         S=S,
         estimator_tag=tag,
     )
-
-
-def estimator_variance(
-    estimator_tag: str,
-    params: Params,
-    target: Target,
-    rng: np.random.Generator,
-    S: int,
-    R: int,
-    a: np.ndarray | None = None,
-    s_extra: int | None = None,
-) -> VarianceReport:
-    """Per-coordinate variance and mean of an estimator over R replicates."""
-    spec = EstimatorSpec(name=estimator_tag, tag=estimator_tag, a=a, s_extra=s_extra)
-    x = replicate_estimates(params, target, rng, S, R, [spec])[estimator_tag]
-    return report_from_estimates(x, S, estimator_tag)
 
 
 def paired_variance_difference(
@@ -320,7 +302,8 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    f, sc, _ = _f_and_scores(params, target, rng, n, (n,))
+    z, f = draw_f(params, target, rng, n)
+    sc = families.score(params, z)
     y = sc**2
     sx, sy, sxy = f.sum(), y.sum(axis=0), f @ y
     sw, sww = sc.sum(axis=0), (sc**2).sum(axis=0)
@@ -480,8 +463,7 @@ def cov_f_score2_mc(
         raise ValueError("n must be >= 2")
     if not 0 <= k < q_params.dim:
         raise ValueError(f"coordinate {k} out of range for dim {q_params.dim}")
-    z = families.draw(q_params, rng, n)
-    f = np.asarray(families.log_density(q_params, z) - log_joint(target, z), float)
+    z, f = draw_f(q_params, target, rng, n)
     u = z[:, k] - q_params.mean[k]
     s2 = q_params.var[k]
     base = u**2 / s2 - 1.0

@@ -9,12 +9,21 @@ The leave-one-out estimator centres f by its batch mean before weighting the
 scores and rescales by S/(S-1); it is exactly the gradient of half the
 unbiased empirical variance of the f values with the samples held fixed,
 which vargrad_via_loss evaluates through that second route as a consistency
-check.
+check. It is Reinforce with the batch mean of f as its control-variate
+coefficient, the baseline of Kool, van Hoof and Welling (2019).
+
+The estimator math has one home, the helpers below. draw_f draws z and f;
+batch_sums reduces f and the scores to the three sums every estimator is a
+function of; combine applies the Reinforce, CV or leave-one-out formula to
+those sums; cv_coefficient is the sampled optimal CV coefficient. They work
+over any leading axes: analysis.replicate_estimates passes (R, S) blocks,
+and a single batch is the case with no leading axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +76,68 @@ class GradientEstimate:
     seed: int | None = None
 
 
+def draw_f(
+    params: Params, target: Target, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n latent draws z, shape (n, D), and f = log q(z) - log p(x, z), shape (n,)."""
+    z = families.draw(params, rng, n)
+    f = np.asarray(families.log_density(params, z) - log_joint(target, z), dtype=float)
+    return z, f
+
+
+class BatchSums(NamedTuple):
+    """The sums over the sample axis that every estimator is a function of:
+    sum_s f_s score_s (..., P), sum_s f_s (..., 1) and sum_s score_s (..., P).
+    Means are these sums divided by S."""
+
+    f_dot_score: np.ndarray
+    f_sum: np.ndarray
+    score_sum: np.ndarray
+    S: int
+
+
+def batch_sums(f: np.ndarray, scores: np.ndarray) -> BatchSums:
+    """Reduce f (..., S) and scores (..., S, P) over the sample axis."""
+    return BatchSums(
+        f_dot_score=np.einsum("...s,...sp->...p", f, scores),
+        f_sum=f.sum(axis=-1, keepdims=True),
+        score_sum=scores.sum(axis=-2),
+        S=f.shape[-1],
+    )
+
+
+def combine(sums: BatchSums, tag: str, a=None) -> np.ndarray:
+    """The estimate named by tag from batch sums, shape (..., P).
+
+    reinforce: (1/S) sum_s f_s score_s. cv: that minus a (*) mean(score),
+    with a of shape (P,) or (..., P). vargrad (leave-one-out):
+    (1/(S-1)) [sum_s f_s score_s - f_bar sum_s score_s].
+    """
+    S = sums.S
+    if tag == REINFORCE_TAG:
+        return sums.f_dot_score / S
+    if tag == CV_TAG:
+        return sums.f_dot_score / S - a * (sums.score_sum / S)
+    if tag == VARGRAD_TAG:
+        return (sums.f_dot_score - sums.f_sum / S * sums.score_sum) / (S - 1)
+    raise ValueError(f"unknown estimator tag {tag!r}")
+
+
+def cv_coefficient(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Per-coordinate optimal control-variate coefficient from f (..., S) and
+    scores (..., S, P): the sample covariance Cov(f * score_i, score_i) over
+    the sample axis -2 divided by the sample variance Var(score_i), shape
+    (..., P). The 1/(S - 1) factors cancel in the ratio. Coordinates whose
+    score sample variance is exactly zero are NaN (missing), never zero.
+    """
+    fs = f[..., None] * scores
+    sc_c = scores - scores.mean(axis=-2, keepdims=True)
+    num = np.sum((fs - fs.mean(axis=-2, keepdims=True)) * sc_c, axis=-2)
+    den = np.sum(sc_c**2, axis=-2)
+    ok = den > 0.0
+    return np.where(ok, num / np.where(ok, den, 1.0), np.nan)
+
+
 def build_batch(
     params: Params,
     target: Target,
@@ -81,28 +152,25 @@ def build_batch(
     """
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
-    z = families.draw(params, rng, S)
-    f = np.asarray(families.log_density(params, z) - log_joint(target, z), dtype=float)
-    sc = families.score(params, z)
+    z, f = draw_f(params, target, rng, S)
     return SampleBatch(
         samples=z,
         f_values=f,
-        scores=sc,
+        scores=families.score(params, z),
         f_bar=float(np.mean(f)),
         family_tag=families.family_tag(params),
         seed=seed,
     )
 
 
-def elbo_estimate(batch: SampleBatch) -> float:
-    """Monte Carlo ELBO: minus the batch mean of f."""
-    return -batch.f_bar
+def _estimate(batch: SampleBatch, tag: str, a=None) -> GradientEstimate:
+    grad = combine(batch_sums(batch.f_values, batch.scores), tag, a)
+    return GradientEstimate(grad=grad, estimator_tag=tag, S=batch.S, seed=batch.seed)
 
 
 def reinforce(batch: SampleBatch) -> GradientEstimate:
     """Plain score-function estimator: (1/S) sum_s f_s * score_s."""
-    grad = batch.f_values @ batch.scores / batch.S
-    return GradientEstimate(grad=grad, estimator_tag=REINFORCE_TAG, S=batch.S, seed=batch.seed)
+    return _estimate(batch, REINFORCE_TAG)
 
 
 def cv_estimator(batch: SampleBatch, a) -> GradientEstimate:
@@ -116,18 +184,14 @@ def cv_estimator(batch: SampleBatch, a) -> GradientEstimate:
         raise ValueError(f"a must have shape ({batch.num_params},), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("control-variate coefficients must be finite")
-    grad = batch.f_values @ batch.scores / batch.S - a * np.mean(batch.scores, axis=0)
-    return GradientEstimate(grad=grad, estimator_tag=CV_TAG, S=batch.S, seed=batch.seed)
+    return _estimate(batch, CV_TAG, a)
 
 
 def vargrad(batch: SampleBatch) -> GradientEstimate:
     """Leave-one-out estimator: (1/(S-1)) [sum_s f_s score_s - f_bar sum_s score_s]."""
     if batch.S < 2:
         raise ValueError("the leave-one-out estimator needs S >= 2 (empirical variance)")
-    grad = (batch.f_values @ batch.scores - batch.f_bar * np.sum(batch.scores, axis=0)) / (
-        batch.S - 1
-    )
-    return GradientEstimate(grad=grad, estimator_tag=VARGRAD_TAG, S=batch.S, seed=batch.seed)
+    return _estimate(batch, VARGRAD_TAG)
 
 
 def vargrad_via_loss(batch: SampleBatch) -> GradientEstimate:
@@ -150,24 +214,12 @@ def sampled_cv_coefficient(
     rng: np.random.Generator,
     S_extra: int,
 ) -> np.ndarray:
-    """Per-coordinate estimate of the optimal control-variate coefficient.
-
-    Uses an independent batch of S_extra draws and returns the ratio of the
-    sample covariance Cov(f * score_i, score_i) to the sample variance
-    Var(score_i). Both moments use the 1/(S_extra - 1) convention so it
-    cancels in the ratio. This is a ratio of estimates and therefore biased;
-    the bias shrinks as S_extra grows.
-
-    Coordinates whose score sample variance is exactly zero are reported as
-    NaN (missing), never as zero.
+    """Per-coordinate estimate of the optimal control-variate coefficient
+    (cv_coefficient) from an independent batch of S_extra draws. This is a
+    ratio of estimates and therefore biased; the bias shrinks as S_extra
+    grows. Zero-variance coordinates are NaN.
     """
     if S_extra < 2:
         raise ValueError(f"S_extra must be >= 2, got {S_extra}")
     batch = build_batch(params, target, rng, S_extra)
-    fs = batch.f_values[:, None] * batch.scores  # f * score_i per sample
-    num = np.sum((fs - fs.mean(axis=0)) * (batch.scores - batch.scores.mean(axis=0)), axis=0)
-    den = np.sum((batch.scores - batch.scores.mean(axis=0)) ** 2, axis=0)
-    a = np.full(batch.num_params, np.nan)
-    ok = den > 0.0
-    a[ok] = num[ok] / den[ok]
-    return a
+    return cv_coefficient(batch.f_values, batch.scores)

@@ -31,7 +31,7 @@ BERNOULLI_TAG = "mean_field_bernoulli"
 PROB_EPS = 1e-7
 _LOGIT_CLIP = float(np.log1p(-PROB_EPS) - np.log(PROB_EPS))  # logit(1 - eps)
 
-# enumerate_support materialises all 2^D states; past this it refuses.
+# support_states materialises all 2^D states; past this it refuses.
 MAX_ENUM_DIM = 20
 
 
@@ -127,14 +127,6 @@ class MeanFieldBernoulliParams:
 Params = DiagGaussianParams | MeanFieldBernoulliParams
 
 
-@dataclass(frozen=True)
-class LatentSample:
-    """One latent draw; Bernoulli states are stored as 0/1 floats."""
-
-    z: np.ndarray
-    family_tag: str
-
-
 def family_tag(params: Params) -> str:
     if isinstance(params, DiagGaussianParams):
         return GAUSSIAN_TAG
@@ -154,7 +146,7 @@ def param_labels(params: Params) -> list[str]:
 
 
 def draw(params: Params, rng: np.random.Generator, S: int) -> np.ndarray:
-    """S i.i.d. latent draws as an (S, D) array. Workhorse behind sample()."""
+    """S i.i.d. latent draws as an (S, D) array, deterministic given the generator state."""
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
     if isinstance(params, DiagGaussianParams):
@@ -162,13 +154,6 @@ def draw(params: Params, rng: np.random.Generator, S: int) -> np.ndarray:
     if isinstance(params, MeanFieldBernoulliParams):
         return (rng.random((S, params.dim)) < params.probs).astype(float)
     raise TypeError(f"unknown family: {type(params).__name__}")
-
-
-def sample(params: Params, rng: np.random.Generator, S: int) -> list[LatentSample]:
-    """S independent draws, deterministic given the generator state."""
-    tag = family_tag(params)
-    z = draw(params, rng, S)
-    return [LatentSample(z=z[s], family_tag=tag) for s in range(S)]
 
 
 def _check_last_axis(z: np.ndarray, d: int) -> None:
@@ -215,24 +200,9 @@ def score(params: Params, z) -> np.ndarray:
     raise TypeError(f"unknown family: {type(params).__name__}")
 
 
-def enumerate_support(params: MeanFieldBernoulliParams) -> list[tuple[np.ndarray, float]]:
-    """All 2^D states with exact probabilities (products, no exp/log round trip).
-
-    State ordering: index i maps to bits of i with coordinate k reading bit k,
-    so z_0 is the least significant bit.
-    """
-    if not isinstance(params, MeanFieldBernoulliParams):
-        raise TypeError("enumerate_support is defined for the Bernoulli family only")
-    d = params.dim
-    if d > MAX_ENUM_DIM:
-        raise ValueError(f"refusing to enumerate 2^{d} states (limit D <= {MAX_ENUM_DIM})")
-    states = support_states(d)
-    probs = support_probs(params)
-    return [(states[i], float(probs[i])) for i in range(states.shape[0])]
-
-
 def support_states(d: int) -> np.ndarray:
-    """(2^D, D) array of all binary states; row i holds the bits of i."""
+    """(2^D, D) array of all binary states; row i holds the bits of i, with
+    coordinate k reading bit k (z_0 is the least significant bit)."""
     if d > MAX_ENUM_DIM:
         raise ValueError(f"refusing to enumerate 2^{d} states (limit D <= {MAX_ENUM_DIM})")
     idx = np.arange(2**d, dtype=np.int64)

@@ -1,7 +1,7 @@
 """Experiment harness: config parsing, RNG streams, CSV output, CLI."""
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config
-from .csvio import CsvSchema, read_csv, write_csv
+from .csvio import read_csv, write_csv
 from .experiments import RUNNERS
 from .rng import split_stream
 
@@ -10,7 +10,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
-    "CsvSchema",
     "read_csv",
     "write_csv",
     "RUNNERS",

@@ -92,7 +92,7 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "sweep.replicates": FieldSpec("int", 100000, minimum=3),
     },
     "delta-ratio": {
-        "delta.dims": FieldSpec("list_int", [1, 3, 10, 30]),
+        "delta.dims": FieldSpec("list_int", [1, 3, 10, 30], minimum=1),
         "delta.n_samples": FieldSpec("int", 2000, minimum=2),
         "delta.mu": FieldSpec("float", 3.0),
         "delta.sigma2": FieldSpec("float", 3.0, minimum=1e-12),
@@ -112,8 +112,8 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "toy.estimators": FieldSpec("list_str", ["reinforce", "cv", "vargrad"]),
     },
     "cv-comparison": {
-        "cv.dims": FieldSpec("list_int", [3, 30]),
-        "cv.s_grid": FieldSpec("list_int", [2, 4, 8, 16, 32]),
+        "cv.dims": FieldSpec("list_int", [3, 30], minimum=1),
+        "cv.s_grid": FieldSpec("list_int", [2, 4, 8, 16, 32], minimum=2),
         "cv.replicates": FieldSpec("int", 1000, minimum=3),
         "cv.mu": FieldSpec("float", 3.0),
         "cv.sigma2": FieldSpec("float", 3.0, minimum=1e-12),
@@ -187,6 +187,8 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
             isinstance(v, bool) or not isinstance(v, int) for v in value
         ):
             fail("a non-empty list of integers")
+        if spec.minimum is not None and min(value) < spec.minimum:
+            raise ConfigError(f"key '{key}': entries must be >= {int(spec.minimum)}, got {value}")
         return list(value)
     if kind == "list_float":
         if not isinstance(value, list) or not value or any(

@@ -11,21 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    columns: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.columns:
-            raise ValueError("schema needs at least one column")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate column names")
 
 
 def format_cell(value: Any) -> str:
@@ -47,21 +35,25 @@ def format_cell(value: Any) -> str:
 
 def write_csv(
     path,
-    schema: CsvSchema,
-    rows: Iterable[Mapping[str, Any]],
+    rows: list[Mapping[str, Any]],
     metadata: Mapping[str, Any] | None = None,
 ) -> None:
+    """Write rows under a header taken from the first row's keys, in order;
+    every other row must have exactly the same keys."""
+    if not rows or not rows[0]:
+        raise ValueError("write_csv needs at least one row with at least one column")
+    columns = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key} = {format_cell(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(schema.columns)
+        writer.writerow(columns)
         for row in rows:
-            if set(row) != set(schema.columns):
-                missing = set(schema.columns) - set(row)
-                extra = set(row) - set(schema.columns)
-                raise ValueError(f"row/schema mismatch: missing {missing}, extra {extra}")
-            writer.writerow([format_cell(row[c]) for c in schema.columns])
+            if row.keys() != rows[0].keys():
+                missing = set(columns) - set(row)
+                extra = set(row) - set(columns)
+                raise ValueError(f"row/header mismatch: missing {missing}, extra {extra}")
+            writer.writerow([format_cell(row[c]) for c in columns])
 
 
 def _parse_scalar(text: str) -> Any:

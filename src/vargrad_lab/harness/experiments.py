@@ -28,7 +28,7 @@ from ..gaussian_oracles import (
 )
 from ..targets import DiscreteToyModel, GaussianTarget
 from .config import ConfigError, ExperimentConfig
-from .csvio import CsvSchema, write_csv
+from .csvio import write_csv
 from .rng import split_stream
 
 
@@ -57,6 +57,48 @@ def _z_score(mean: float, exact: float, se: float) -> float:
     return math.inf
 
 
+# Estimator names each subcommand accepts, in the order its error lists them,
+# and the estimator each name selects. "cv" and "cv_oracle" are the fixed-
+# coefficient control variate under each subcommand's name for its coefficient.
+_ESTIMATOR_CHOICES = {
+    "unbiasedness": ("reinforce", "cv", "vargrad"),
+    "cv-comparison": ("reinforce", "vargrad", "cv_oracle", "cv_sampled"),
+}
+_ESTIMATOR_TAGS = {
+    "reinforce": REINFORCE_TAG,
+    "vargrad": VARGRAD_TAG,
+    "cv": CV_TAG,
+    "cv_oracle": CV_TAG,
+    "cv_sampled": CV_SAMPLED_TAG,
+}
+
+
+def _estimator_specs(
+    cfg: ExperimentConfig, key: str, a_fixed: np.ndarray, S: int
+) -> list[EstimatorSpec]:
+    """Specs for the estimator names under cfg[key]. The fixed control
+    variate uses a_fixed; cv_sampled estimates its coefficient from a batch
+    the size of the estimate batch, S."""
+    choices = _ESTIMATOR_CHOICES[cfg.experiment]
+    specs = []
+    for name in cfg[key]:
+        if name not in choices:
+            raise ConfigError(
+                f"unknown estimator {name!r} for {cfg.experiment}; "
+                f"choose from {', '.join(choices)}"
+            )
+        tag = _ESTIMATOR_TAGS[name]
+        specs.append(
+            EstimatorSpec(
+                name=name,
+                tag=tag,
+                a=a_fixed if tag == CV_TAG else None,
+                s_extra=S if tag == CV_SAMPLED_TAG else None,
+            )
+        )
+    return specs
+
+
 def run_unbiasedness(cfg: ExperimentConfig) -> str:
     d = cfg["toy.dims"]
     if d > 4:
@@ -80,20 +122,8 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
 
     kl, exact_grad = targets.exact_kl_and_gradient(model, params)
     a_const = kl - model.log_evidence  # population mean of f, the fixed CV coefficient
-    specs = []
-    for name in cfg["toy.estimators"]:
-        if name == "reinforce":
-            specs.append(EstimatorSpec(name=name, tag=REINFORCE_TAG))
-        elif name == "vargrad":
-            specs.append(EstimatorSpec(name=name, tag=VARGRAD_TAG))
-        elif name == "cv":
-            specs.append(EstimatorSpec(name=name, tag=CV_TAG, a=np.full(params.num_params, a_const)))
-        else:
-            raise ConfigError(
-                f"unknown estimator {name!r} for unbiasedness; choose from reinforce, cv, vargrad"
-            )
-
     S, R = cfg["toy.s"], cfg["toy.replicates"]
+    specs = _estimator_specs(cfg, "toy.estimators", np.full(params.num_params, a_const), S)
     ests = analysis.replicate_estimates(
         params, model, split_stream(cfg.seed, "unbiasedness"), S, R, specs
     )
@@ -117,18 +147,6 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
                     "within_4se": abs(z) < 4.0,
                 }
             )
-    schema = CsvSchema(
-        (
-            "estimator",
-            "coord",
-            "label",
-            "exact_grad",
-            "replicate_mean",
-            "mean_se",
-            "z_score",
-            "within_4se",
-        )
-    )
     metadata = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
@@ -139,7 +157,7 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
         "exact_kl": kl,
         "cv_coefficient": a_const,
     }
-    write_csv(cfg.out, schema, rows, metadata)
+    write_csv(cfg.out, rows, metadata)
     return cfg.out
 
 
@@ -176,20 +194,6 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
                 "analytic": delta_var_analytic(setting),
             }
         )
-    schema = CsvSchema(
-        (
-            "mu",
-            "mu_tilde",
-            "sigma2",
-            "sigma2_tilde",
-            "S",
-            "var_reinforce",
-            "var_vargrad",
-            "diff",
-            "diff_se",
-            "analytic",
-        )
-    )
     metadata = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
@@ -197,7 +201,7 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
         "grid_points": len(grid),
         "coordinate": "mean_0",
     }
-    write_csv(cfg.out, schema, rows, metadata)
+    write_csv(cfg.out, rows, metadata)
     return cfg.out
 
 
@@ -229,22 +233,6 @@ def run_delta_ratio(cfg: ExperimentConfig) -> str:
                     "valid": bool(report.valid[k]),
                 }
             )
-    schema = CsvSchema(
-        (
-            "dims",
-            "coord",
-            "label",
-            "delta_mc",
-            "delta_se",
-            "delta_analytic",
-            "a_expectation_mc",
-            "a_expectation_analytic",
-            "ratio_abs_mc",
-            "ratio_se",
-            "ratio_abs_analytic",
-            "valid",
-        )
-    )
     metadata = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
@@ -254,7 +242,7 @@ def run_delta_ratio(cfg: ExperimentConfig) -> str:
         "mu_tilde": mu_tilde,
         "sigma2_tilde": sigma2_tilde,
     }
-    write_csv(cfg.out, schema, rows, metadata)
+    write_csv(cfg.out, rows, metadata)
     return cfg.out
 
 
@@ -293,33 +281,13 @@ def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
             row[f"cov_{convention}_mc"] = mc
             row[f"cov_{convention}_mc_se"] = se
         rows.append(row)
-    columns = [
-        "mu",
-        "mu_tilde",
-        "sigma2",
-        "sigma2_tilde",
-        "S",
-        "delta_var",
-        "delta_var_large_s",
-        "kl",
-        "delta_mean",
-        "delta_log_std",
-        "a_opt_mean",
-        "a_opt_log_std",
-        "score_var_mean",
-        "score_var_log_std",
-        "kurt_mean",
-        "kurt_log_std",
-    ]
-    for convention in CONVENTIONS:
-        columns += [f"cov_{convention}", f"cov_{convention}_mc", f"cov_{convention}_mc_se"]
     metadata = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         "grid_points": len(grid),
         "mc_draws": n_mc,
     }
-    write_csv(cfg.out, CsvSchema(tuple(columns)), rows, metadata)
+    write_csv(cfg.out, rows, metadata)
     return cfg.out
 
 
@@ -334,22 +302,7 @@ def run_cv_comparison(cfg: ExperimentConfig) -> str:
         a_star = optimal_a_analytic(q, target)
         labels = families.param_labels(q)
         for S in cfg["cv.s_grid"]:
-            specs = []
-            for name in cfg["cv.estimators"]:
-                if name == "reinforce":
-                    specs.append(EstimatorSpec(name=name, tag=REINFORCE_TAG))
-                elif name == "vargrad":
-                    specs.append(EstimatorSpec(name=name, tag=VARGRAD_TAG))
-                elif name == "cv_oracle":
-                    specs.append(EstimatorSpec(name=name, tag=CV_TAG, a=a_star))
-                elif name == "cv_sampled":
-                    # the coefficient batch matches the estimate batch size
-                    specs.append(EstimatorSpec(name=name, tag=CV_SAMPLED_TAG, s_extra=S))
-                else:
-                    raise ConfigError(
-                        f"unknown estimator {name!r} for cv-comparison; choose from "
-                        "reinforce, vargrad, cv_oracle, cv_sampled"
-                    )
+            specs = _estimator_specs(cfg, "cv.estimators", a_star, S)
             a_values = {spec.name: math.nan for spec in specs}
             for j, a_val in enumerate(a_grid):
                 spec = EstimatorSpec(
@@ -377,20 +330,6 @@ def run_cv_comparison(cfg: ExperimentConfig) -> str:
                             "mean_se": float(report.mean_standard_errors[k]),
                         }
                     )
-    schema = CsvSchema(
-        (
-            "dims",
-            "S",
-            "estimator",
-            "a_value",
-            "coord",
-            "label",
-            "variance",
-            "variance_se",
-            "mean",
-            "mean_se",
-        )
-    )
     metadata = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
@@ -400,32 +339,8 @@ def run_cv_comparison(cfg: ExperimentConfig) -> str:
         "mu_tilde": mu_tilde,
         "sigma2_tilde": sigma2_tilde,
     }
-    write_csv(cfg.out, schema, rows, metadata)
+    write_csv(cfg.out, rows, metadata)
     return cfg.out
-
-
-_TRAIN_COLUMNS = (
-    "step",
-    "coord",
-    "label",
-    "elbo",
-    "log_evidence_is",
-    "kl_is",
-    "bound_denominator",
-    "delta_abs_ratio",
-    "delta_ratio_se",
-    "delta_valid",
-    "var_reinforce",
-    "var_reinforce_se",
-    "var_vargrad",
-    "var_vargrad_se",
-    "var_cv_sampled",
-    "var_cv_sampled_se",
-    "var_cv_oracle",
-    "var_cv_oracle_se",
-    "diff_reinforce_vargrad",
-    "diff_se_reinforce_vargrad",
-)
 
 
 def run_train_logreg(cfg: ExperimentConfig) -> str:
@@ -489,12 +404,12 @@ def run_train_logreg(cfg: ExperimentConfig) -> str:
                 "delta_abs_ratio": abs(float(delta.ratio[k])),
                 "delta_ratio_se": float(delta.ratio_se[k]),
                 "delta_valid": bool(delta.valid[k]),
-                "diff_reinforce_vargrad": float(pair.diff[k]),
-                "diff_se_reinforce_vargrad": float(pair.diff_se[k]),
             }
             for name in ("reinforce", "vargrad", "cv_sampled", "cv_oracle"):
                 row[f"var_{name}"] = float(reports[name].per_coordinate_variance[k])
                 row[f"var_{name}_se"] = float(reports[name].standard_errors[k])
+            row["diff_reinforce_vargrad"] = float(pair.diff[k])
+            row["diff_se_reinforce_vargrad"] = float(pair.diff_se[k])
             rows.append(row)
 
     log_step(0, params)
@@ -524,7 +439,7 @@ def run_train_logreg(cfg: ExperimentConfig) -> str:
         "cv_extra_samples": cfg["diagnostics.cv_extra_samples"],
         "cv_oracle_samples": cfg["diagnostics.cv_oracle_samples"],
     }
-    write_csv(cfg.out, CsvSchema(_TRAIN_COLUMNS), rows, metadata)
+    write_csv(cfg.out, rows, metadata)
     return cfg.out
 
 

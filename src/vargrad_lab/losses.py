@@ -10,8 +10,8 @@ two it can fail to converge when q has tails lighter than a threshold, so
 its estimator carries diagnostics.
 
 KL has two routes: the closed form for diagonal Gaussians and
-the identity KL = log p(x) - ELBO with log p(x) estimated by importance
-sampling (proposal q) and the ELBO by plain Monte Carlo.
+the identity KL = log p(x) - ELBO, whose two terms evidence_and_elbo
+estimates by importance sampling (proposal q) and by plain Monte Carlo.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import families
-from .estimators import SampleBatch
+from .estimators import SampleBatch, draw_f
 from .families import DiagGaussianParams, Params
-from .targets import DiscreteToyModel, GaussianTarget, Target, log_joint
+from .targets import DiscreteToyModel, GaussianTarget, Target
 
 LOG_VARIANCE_TAG = "log_variance"
 MOMENT_TAG = "moment"
 CHI2_VARIANCE_TAG = "chi2_variance"
-KL_CLOSED_FORM_TAG = "kl_closed_form"
-KL_IMPORTANCE_SAMPLED_TAG = "kl_importance_sampled"
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,7 @@ def chi2_variance_loss(
         raise ValueError(
             f"{type(target).__name__} has no normalised posterior in closed form"
         )
-    z = families.draw(params, rng, S)
-    f = np.asarray(families.log_density(params, z) - log_joint(target, z), dtype=float)
+    _, f = draw_f(params, target, rng, S)
     ratios = np.exp(-f - log_ev)
     value = 0.5 * float(np.var(ratios, ddof=1))
     return Chi2VarianceEstimate(
@@ -161,25 +157,9 @@ def evidence_and_elbo(
     """
     if n_is < 2 or n_elbo < 2:
         raise ValueError("n_is and n_elbo must both be >= 2")
-    z_is = families.draw(q_params, rng, n_is)
-    log_w = np.asarray(log_joint(model, z_is) - families.log_density(q_params, z_is), float)
+    log_w = -draw_f(q_params, model, rng, n_is)[1]
     if np.all(np.isneginf(log_w)):
         raise ValueError("all importance weights are zero; estimate undefined")
     log_evidence = float(logsumexp(log_w) - np.log(n_is))
-    z_el = families.draw(q_params, rng, n_elbo)
-    elbo = float(
-        np.mean(np.asarray(log_joint(model, z_el) - families.log_density(q_params, z_el), float))
-    )
+    elbo = -float(np.mean(draw_f(q_params, model, rng, n_elbo)[1]))
     return log_evidence, elbo
-
-
-def kl_via_importance_sampling(
-    q_params: Params,
-    model: Target,
-    rng: np.random.Generator,
-    n_is: int = 10000,
-    n_elbo: int = 2000,
-) -> float:
-    """KL estimate through the identity KL = log p(x) - ELBO."""
-    log_evidence, elbo = evidence_and_elbo(q_params, model, rng, n_is=n_is, n_elbo=n_elbo)
-    return log_evidence - elbo

@@ -12,7 +12,6 @@ from vargrad_lab.analysis import (
     cov_f_score2_mc,
     delta_cv_mc,
     delta_ratio_bound,
-    estimator_variance,
     gaussian_sup_ratio,
     kurtosis_mc,
     paired_difference_from_estimates,
@@ -21,11 +20,23 @@ from vargrad_lab.analysis import (
     report_from_estimates,
     variance_ordering_check,
 )
-from vargrad_lab.estimators import CV_TAG, REINFORCE_TAG, VARGRAD_TAG
+from vargrad_lab.estimators import (
+    CV_TAG,
+    REINFORCE_TAG,
+    VARGRAD_TAG,
+    SampleBatch,
+    cv_coefficient,
+    cv_estimator,
+    reinforce,
+    vargrad_via_loss,
+)
 from vargrad_lab.families import (
+    GAUSSIAN_TAG,
     DiagGaussianParams,
     MeanFieldBernoulliParams,
+    draw,
     log_density,
+    score,
     support_probs,
     support_states,
 )
@@ -35,7 +46,7 @@ from vargrad_lab.gaussian_oracles import (
     optimal_a_analytic,
 )
 from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
-from vargrad_lab.targets import DiscreteToyModel, GaussianTarget
+from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, log_joint
 
 from oracles import cov_f_score2_ref
 
@@ -90,6 +101,48 @@ def test_replicate_estimates_chunking_is_transparent():
         analysis._CHUNK_SAMPLE_CAP = old
     for name in big:
         np.testing.assert_array_equal(big[name], small[name])
+
+
+@pytest.mark.parametrize("cap", [None, 12])
+def test_replicate_estimates_stream_layout(monkeypatch, cap):
+    # Every chunk draws its shared (rows, S) block first, then one
+    # (rows, s_extra) block per cv_sampled spec in spec order. Rebuild each
+    # replicate from explicit families.draw blocks taken in that order.
+    if cap is not None:
+        monkeypatch.setattr(analysis, "_CHUNK_SAMPLE_CAP", cap)  # 3 rows per chunk
+    q, t = pair(1.0, 2.0, 0.0, 1.0, d=2)
+    S, R, a = 4, 10, np.array([0.5, -1.0, 2.0, 0.25])
+    specs = [
+        EstimatorSpec(name="cs3", tag="cv_sampled", s_extra=3),
+        EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
+        EstimatorSpec(name="cv", tag=CV_TAG, a=a),
+        EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
+        EstimatorSpec(name="cs2", tag="cv_sampled", s_extra=2),
+    ]
+    got = replicate_estimates(q, t, np.random.default_rng(109), S, R, specs)
+
+    def blocks(rng, rows, n):
+        z = draw(q, rng, rows * n)
+        f = log_density(q, z) - log_joint(t, z)
+        return f.reshape(rows, n), score(q, z).reshape(rows, n, -1)
+
+    rng = np.random.default_rng(109)
+    chunk = analysis._CHUNK_SAMPLE_CAP // S
+    start = 0
+    while start < R:
+        rows = min(chunk, R - start)
+        f, sc = blocks(rng, rows, S)
+        extra = {s.name: blocks(rng, rows, s.s_extra) for s in specs if s.s_extra}
+        for i in range(rows):
+            b = SampleBatch(np.zeros((S, 2)), f[i], sc[i], float(f[i].mean()), GAUSSIAN_TAG)
+            r = start + i
+            np.testing.assert_array_equal(got["reinforce"][r], reinforce(b).grad)
+            np.testing.assert_array_equal(got["cv"][r], cv_estimator(b, a).grad)
+            np.testing.assert_allclose(got["vargrad"][r], vargrad_via_loss(b).grad, rtol=1e-12)
+            for name, (fe, se) in extra.items():
+                a_r = cv_coefficient(fe[i], se[i])
+                np.testing.assert_array_equal(got[name][r], cv_estimator(b, a_r).grad)
+        start += rows
 
 
 def test_replicate_means_track_exact_gradient():
@@ -148,14 +201,17 @@ def test_report_smallest_replicate_counts():
 
 def test_estimator_variance_zero_at_posterior():
     q, t = pair(0.4, 1.3, 0.4, 1.3)
-    rep = estimator_variance(VARGRAD_TAG, q, t, np.random.default_rng(106), 4, 200)
+    x = replicate_estimates(q, t, np.random.default_rng(106), 4, 200, [SPEC_RV[1]])
+    rep = report_from_estimates(x["vargrad"], 4, VARGRAD_TAG)
     assert np.all(rep.per_coordinate_variance < 1e-15)
 
 
 def test_estimator_variance_cv_needs_coefficient():
     q, t = pair(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        estimator_variance(CV_TAG, q, t, np.random.default_rng(0), 4, 10)
+        replicate_estimates(
+            q, t, np.random.default_rng(0), 4, 10, [EstimatorSpec(name="cv", tag=CV_TAG)]
+        )
 
 
 # -------------------------------------------------------- paired differences

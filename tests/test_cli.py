@@ -135,21 +135,38 @@ def test_subcommand_is_required():
     assert exc.value.code == 2
 
 
-def test_console_script(tmp_path):
-    # run the module entry point in a fresh interpreter, with the package's
-    # own source root first on its path, so the test needs no installed script
+def run_module(args):
+    """Run the module entry point in a fresh interpreter, with the package's
+    own source root first on its path, so no installed script is needed."""
     src_root = str(Path(vargrad_lab.__file__).resolve().parents[1])
     path = [src_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    module = [sys.executable, "-m", "vargrad_lab.harness.cli"]
+    return subprocess.run(module + args, capture_output=True, text=True, env=env)
+
+
+def test_console_script(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "script.csv"
-    module = [sys.executable, "-m", "vargrad_lab.harness.cli"]
-    proc = subprocess.run(
-        module + ["unbiasedness", "--config", str(cfg), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_module(["unbiasedness", "--config", str(cfg), "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(out)
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("delta-ratio", "delta.dims", "[0]"),
+        ("cv-comparison", "cv.dims", "[0]"),
+        ("cv-comparison", "cv.s_grid", "[1]"),
+    ],
+)
+def test_list_entries_below_minimum_are_config_errors(tmp_path, experiment, key, value):
+    cfg = write_cfg(tmp_path, f"experiment = {experiment}\nseed = 1\n{key} = {value}\n")
+    out = tmp_path / "x.csv"
+    proc = run_module([experiment, "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and f"'{key}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

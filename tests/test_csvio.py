@@ -1,14 +1,11 @@
-"""CSV writing and reading: exact round trips and strict schemas."""
+"""CSV writing and reading: exact round trips and strict headers."""
 
 import math
 
 import numpy as np
 import pytest
 
-from vargrad_lab.harness.csvio import CsvSchema, format_cell, read_csv, write_csv
-
-
-SCHEMA = CsvSchema(columns=("name", "count", "value", "flag"))
+from vargrad_lab.harness.csvio import format_cell, read_csv, write_csv
 
 
 def test_format_cell_conventions():
@@ -40,8 +37,7 @@ def test_round_trip_preserves_floats_bit_exactly(tmp_path):
         float("-inf"),
     ]
     path = tmp_path / "vals.csv"
-    schema = CsvSchema(columns=("value",))
-    write_csv(path, schema, [{"value": v} for v in tricky], metadata={})
+    write_csv(path, [{"value": v} for v in tricky], metadata={})
     _, header, rows = read_csv(path)
     assert header == ["value"]
     for want, row in zip(tricky, rows):
@@ -56,7 +52,7 @@ def test_integral_floats_read_back_as_equal_ints(tmp_path):
     # 2.0 prints as '2' under %.17g; the reader's int-first parse returns an
     # equal integer, which is the documented contract for numeric cells
     path = tmp_path / "ints.csv"
-    write_csv(path, CsvSchema(columns=("x",)), [{"x": 2.0}], metadata={})
+    write_csv(path, [{"x": 2.0}], metadata={})
     _, _, rows = read_csv(path)
     assert rows[0]["x"] == 2 and isinstance(rows[0]["x"], int)
 
@@ -67,10 +63,10 @@ def test_write_and_read_with_metadata(tmp_path):
         {"name": "a", "count": 1, "value": 0.5, "flag": True},
         {"name": "b", "count": 2, "value": float("nan"), "flag": False},
     ]
-    write_csv(path, SCHEMA, rows, metadata={"seed": 7, "experiment": "demo"})
+    write_csv(path, rows, metadata={"seed": 7, "experiment": "demo"})
     metadata, header, data = read_csv(path)
     assert metadata == {"seed": "7", "experiment": "demo"}
-    assert header == list(SCHEMA.columns)
+    assert header == ["name", "count", "value", "flag"]
     assert data[0] == {"name": "a", "count": 1, "value": 0.5, "flag": 1}
     assert data[1]["name"] == "b"
     assert math.isnan(data[1]["value"])
@@ -80,14 +76,14 @@ def test_write_and_read_with_metadata(tmp_path):
 def test_output_bytes_are_deterministic(tmp_path):
     rows = [{"name": "x", "count": 3, "value": 1.25, "flag": False}]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(p1, SCHEMA, rows, metadata={"k": "v"})
-    write_csv(p2, SCHEMA, rows, metadata={"k": "v"})
+    write_csv(p1, rows, metadata={"k": "v"})
+    write_csv(p2, rows, metadata={"k": "v"})
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_line_endings_are_lf(tmp_path):
     path = tmp_path / "lf.csv"
-    write_csv(path, SCHEMA, [{"name": "a", "count": 1, "value": 2.0, "flag": True}], {})
+    write_csv(path, [{"name": "a", "count": 1, "value": 2.0, "flag": True}], {})
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
@@ -96,29 +92,33 @@ def test_line_endings_are_lf(tmp_path):
 
 def test_metadata_lines_use_hash_prefix(tmp_path):
     path = tmp_path / "meta.csv"
-    write_csv(path, CsvSchema(columns=("x",)), [{"x": 1}], metadata={"alpha": 0.5})
+    write_csv(path, [{"x": 1}], metadata={"alpha": 0.5})
     first = path.read_text(encoding="utf-8").splitlines()[0]
     assert first == "# alpha = 0.5"
 
 
-def test_schema_validation():
-    with pytest.raises(ValueError):
-        CsvSchema(columns=())
-    with pytest.raises(ValueError):
-        CsvSchema(columns=("a", "a"))
+def test_schema_validation(tmp_path):
+    # the header comes from the first row, so there must be one with columns
+    path = tmp_path / "none.csv"
+    with pytest.raises(ValueError, match="at least one row"):
+        write_csv(path, [], {})
+    with pytest.raises(ValueError, match="at least one row"):
+        write_csv(path, [{}], {})
+
+
+def test_header_follows_first_row_key_order(tmp_path):
+    path = tmp_path / "order.csv"
+    write_csv(path, [{"b": 1, "a": 2}, {"a": 4, "b": 3}], {})
+    assert path.read_text(encoding="utf-8") == "b,a\n1,2\n3,4\n"
 
 
 def test_row_schema_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError, match="row/schema mismatch"):
-        write_csv(path, SCHEMA, [{"name": "a", "count": 1}], {})
-    with pytest.raises(ValueError, match="row/schema mismatch"):
-        write_csv(
-            path,
-            SCHEMA,
-            [{"name": "a", "count": 1, "value": 0.0, "flag": True, "extra": 9}],
-            {},
-        )
+    first = {"name": "a", "count": 1, "value": 0.0, "flag": True}
+    with pytest.raises(ValueError, match="row/header mismatch"):
+        write_csv(path, [first, {"name": "a", "count": 1}], {})
+    with pytest.raises(ValueError, match="row/header mismatch"):
+        write_csv(path, [first, {**first, "extra": 9}], {})
 
 
 def test_read_rejects_malformed_files(tmp_path):
@@ -145,10 +145,8 @@ def test_read_parses_ints_then_floats_then_strings(tmp_path):
 
 def test_numpy_scalars_format_like_python(tmp_path):
     path = tmp_path / "np.csv"
-    schema = CsvSchema(columns=("x", "n", "b"))
     write_csv(
         path,
-        schema,
         [{"x": np.float64(0.25), "n": np.int64(5), "b": np.bool_(True)}],
         metadata={},
     )

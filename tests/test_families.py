@@ -16,12 +16,10 @@ from vargrad_lab.families import (
     DiagGaussianParams,
     MeanFieldBernoulliParams,
     draw,
-    enumerate_support,
     family_tag,
     gaussian_score_kurtosis_analytic,
     log_density,
     param_labels,
-    sample,
     score,
     support_probs,
     support_states,
@@ -236,14 +234,6 @@ def test_saturated_bernoulli_sampling():
     assert z.mean() >= 1.0 - 10.0 * PROB_EPS
 
 
-def test_sample_wraps_draws_with_tags():
-    rng = np.random.default_rng(6)
-    out = sample(gauss([0.0], [0.0]), rng, 3)
-    assert len(out) == 3
-    assert all(s.family_tag == GAUSSIAN_TAG for s in out)
-    assert all(s.z.shape == (1,) for s in out)
-
-
 def test_draw_validates_sample_count():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -255,12 +245,8 @@ def test_draw_validates_sample_count():
 
 def test_enumerate_support_small_cases():
     b = bern([math.log(0.3 / 0.7)])  # theta = 0.3
-    states = enumerate_support(b)
-    assert len(states) == 2
-    np.testing.assert_array_equal(states[0][0], [0.0])
-    np.testing.assert_array_equal(states[1][0], [1.0])
-    assert states[0][1] == pytest.approx(0.7, abs=1e-12)
-    assert states[1][1] == pytest.approx(0.3, abs=1e-12)
+    np.testing.assert_array_equal(support_states(1), [[0.0], [1.0]])
+    np.testing.assert_allclose(support_probs(b), [0.7, 0.3], atol=1e-12)
 
     b2 = bern([0.0, 0.0])
     probs = support_probs(b2)
@@ -284,7 +270,9 @@ def test_support_probs_match_density():
 
 def test_enumeration_dimension_cap():
     with pytest.raises(ValueError):
-        enumerate_support(bern(np.zeros(MAX_ENUM_DIM + 1)))
+        support_states(MAX_ENUM_DIM + 1)
+    with pytest.raises(ValueError):
+        support_probs(bern(np.zeros(MAX_ENUM_DIM + 1)))
 
 
 # ----------------------------------------------------------------- kurtosis
