@@ -87,9 +87,6 @@ class VarianceReport:
     per_coordinate_mean: np.ndarray
     standard_errors: np.ndarray
     mean_standard_errors: np.ndarray
-    R: int
-    S: int
-    estimator_tag: str
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,6 @@ class VarianceOrderingReport:
     var_vargrad: np.ndarray
     diff: np.ndarray
     diff_se: np.ndarray
-    S: int
-    R: int
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,7 @@ def _jackknife_stat_se(loo: np.ndarray) -> np.ndarray:
         return np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
 
 
-def report_from_estimates(x: np.ndarray, S: int, tag: str) -> VarianceReport:
+def report_from_estimates(x: np.ndarray) -> VarianceReport:
     """Summarise an (R, P) array of replicate estimates (as produced by
     replicate_estimates) into a VarianceReport. The jackknife SEs of the
     variances need R >= 3 and are NaN below that."""
@@ -244,41 +239,20 @@ def report_from_estimates(x: np.ndarray, S: int, tag: str) -> VarianceReport:
         per_coordinate_mean=np.mean(x, axis=0),
         standard_errors=var_se,
         mean_standard_errors=np.sqrt(var) / np.sqrt(r),
-        R=r,
-        S=S,
-        estimator_tag=tag,
     )
 
 
-def paired_variance_difference(
-    params: Params,
-    target: Target,
-    rng: np.random.Generator,
-    S: int,
-    R: int,
-    spec_a: EstimatorSpec,
-    spec_b: EstimatorSpec,
-) -> PairedVarianceDifference:
-    """Var(a) - Var(b) on shared replicate draws, with a paired jackknife SE
-    of the difference (the per-replicate estimates are correlated by
-    construction, which the delete-one recomputation accounts for)."""
-    ests = replicate_estimates(params, target, rng, S, R, [spec_a, spec_b])
-    return paired_difference_from_estimates(
-        ests[spec_a.name], ests[spec_b.name], S, spec_a.tag, spec_b.tag
-    )
-
-
-def paired_difference_from_estimates(
-    xa: np.ndarray, xb: np.ndarray, S: int, tag_a: str, tag_b: str
-) -> PairedVarianceDifference:
+def paired_difference_from_estimates(xa: np.ndarray, xb: np.ndarray) -> PairedVarianceDifference:
     """Var(a) - Var(b) from two (R, P) estimate arrays that were produced on
-    the same replicate draws, with a paired delete-one jackknife SE."""
+    the same replicate draws, with a paired delete-one jackknife SE (the
+    per-replicate estimates are correlated by construction, which the
+    delete-one recomputation accounts for)."""
     xa = np.asarray(xa, dtype=float)
     xb = np.asarray(xb, dtype=float)
     if xa.shape != xb.shape or xa.ndim != 2:
         raise ValueError("expected two (R, P) arrays of equal shape")
-    report_a = report_from_estimates(xa, S, tag_a)
-    report_b = report_from_estimates(xb, S, tag_b)
+    report_a = report_from_estimates(xa)
+    report_b = report_from_estimates(xb)
     if xa.shape[0] < 3:
         diff_se = np.full(xa.shape[1], np.nan)
     else:
@@ -306,9 +280,9 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
     sc = families.score(params, z)
     y = sc**2
     sx, sy, sxy = f.sum(), y.sum(axis=0), f @ y
-    sw, sww = sc.sum(axis=0), (sc**2).sum(axis=0)
+    sw = sc.sum(axis=0)
     cov = (sxy - sx * sy / n) / (n - 1)
-    var = (sww - sw**2 / n) / (n - 1)
+    var = (sy - sw**2 / n) / (n - 1)
     valid = var > 0.0
     delta = np.where(valid, cov / np.where(valid, var, 1.0), np.nan)
     a_exp = sx / n
@@ -317,7 +291,7 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
     # Leave-one-out recomputation from the running sums, O(n P).
     m = n - 1
     cov_t = (sxy - f[:, None] * y - (sx - f)[:, None] * (sy - y) / m) / (m - 1)
-    var_t = (sww - sc**2 - (sw - sc) ** 2 / m) / (m - 1)
+    var_t = _loo_variances(sc)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_t = cov_t / var_t
         ratio_t = delta_t / ((sx - f) / m)[:, None]
@@ -422,15 +396,12 @@ def variance_ordering_check(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = delta / elbo if elbo != 0.0 else np.full_like(delta, np.nan)
     condition_value = np.where(delta == 0.0, 0.0, ratio)
-    pair = paired_variance_difference(
-        params,
-        target,
-        rng,
-        S,
-        R,
+    specs = [
         EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
         EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
-    )
+    ]
+    ests = replicate_estimates(params, target, rng, S, R, specs)
+    pair = paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
     return VarianceOrderingReport(
         condition_value=condition_value,
         condition_met=condition_value < 0.5,
@@ -438,8 +409,6 @@ def variance_ordering_check(
         var_vargrad=pair.report_b.per_coordinate_variance,
         diff=pair.diff,
         diff_se=pair.diff_se,
-        S=S,
-        R=R,
     )
 
 
@@ -464,15 +433,13 @@ def cov_f_score2_mc(
     if not 0 <= k < q_params.dim:
         raise ValueError(f"coordinate {k} out of range for dim {q_params.dim}")
     z, f = draw_f(q_params, target, rng, n)
-    u = z[:, k] - q_params.mean[k]
-    s2 = q_params.var[k]
-    base = u**2 / s2 - 1.0
+    sc = families.score(q_params, z)
     if convention == MEAN_CONVENTION:
-        s = u / s2
-    elif convention == VARIANCE_CONVENTION:
-        s = base / (2.0 * s2)
-    else:
-        s = base / 2.0
+        s = sc[:, k]
+    else:  # the log-variance score is half the log-std score
+        s = 0.5 * sc[:, q_params.dim + k]
+        if convention == VARIANCE_CONVENTION:
+            s = s / q_params.var[k]
     y = s**2
     prod = (f - f.mean()) * (y - y.mean())
     cov = float(prod.sum() / (n - 1))

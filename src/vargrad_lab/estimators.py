@@ -1,7 +1,8 @@
 """Score-function gradient estimators.
 
-All estimators consume a SampleBatch holding S latent draws together with
-f_s = log q(z_s) - log p(x, z_s) and the analytic scores. Everything here
+Every estimator here is a function of two arrays: the S values
+f_s = log q(z_s) - log p(x, z_s), shape (S,), and the analytic scores
+d log q(z_s) / d phi, shape (S, P). build_batch draws both. Everything here
 targets the gradient of KL(q || p(.|x)), equivalently the negative-ELBO
 gradient, since the evidence does not depend on the variational parameters.
 
@@ -22,7 +23,6 @@ and a single batch is the case with no leading axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,46 +34,6 @@ from .targets import Target, log_joint
 REINFORCE_TAG = "reinforce"
 CV_TAG = "cv"
 VARGRAD_TAG = "vargrad"
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """S draws plus the per-sample quantities every estimator needs.
-
-    samples has shape (S, D) with one latent per row, f_values shape (S,),
-    scores shape (S, P) where P is the parameter count, and f_bar is the
-    arithmetic mean of f_values.
-    """
-
-    samples: np.ndarray
-    f_values: np.ndarray
-    scores: np.ndarray
-    f_bar: float
-    family_tag: str
-    seed: int | None = None
-
-    def __post_init__(self):
-        s = self.f_values.shape[0]
-        if self.samples.shape[0] != s or self.scores.shape[0] != s:
-            raise ValueError("samples, f_values and scores must agree on S")
-        if abs(self.f_bar - float(np.mean(self.f_values))) > 1e-12 * (1.0 + abs(self.f_bar)):
-            raise ValueError("f_bar is not the mean of f_values")
-
-    @property
-    def S(self) -> int:
-        return self.f_values.shape[0]
-
-    @property
-    def num_params(self) -> int:
-        return self.scores.shape[1]
-
-
-@dataclass(frozen=True)
-class GradientEstimate:
-    grad: np.ndarray
-    estimator_tag: str
-    S: int
-    seed: int | None = None
 
 
 def draw_f(
@@ -98,6 +58,8 @@ class BatchSums(NamedTuple):
 
 def batch_sums(f: np.ndarray, scores: np.ndarray) -> BatchSums:
     """Reduce f (..., S) and scores (..., S, P) over the sample axis."""
+    if f.shape[-1] != scores.shape[-2]:  # einsum would broadcast an S of 1
+        raise ValueError(f"f and scores disagree on S: {f.shape} vs {scores.shape}")
     return BatchSums(
         f_dot_score=np.einsum("...s,...sp->...p", f, scores),
         f_sum=f.sum(axis=-1, keepdims=True),
@@ -139,13 +101,9 @@ def cv_coefficient(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 def build_batch(
-    params: Params,
-    target: Target,
-    rng: np.random.Generator,
-    S: int,
-    seed: int | None = None,
-) -> SampleBatch:
-    """Draw S latents and populate f values and scores.
+    params: Params, target: Target, rng: np.random.Generator, S: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw S latents and return f, shape (S,), and the scores, shape (S, P).
 
     Draws are detached by construction: scores come from the closed-form
     score function, so no parameter dependence flows through the samples.
@@ -153,48 +111,41 @@ def build_batch(
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
     z, f = draw_f(params, target, rng, S)
-    return SampleBatch(
-        samples=z,
-        f_values=f,
-        scores=families.score(params, z),
-        f_bar=float(np.mean(f)),
-        family_tag=families.family_tag(params),
-        seed=seed,
-    )
+    return f, families.score(params, z)
 
 
-def _estimate(batch: SampleBatch, tag: str, a=None) -> GradientEstimate:
-    grad = combine(batch_sums(batch.f_values, batch.scores), tag, a)
-    return GradientEstimate(grad=grad, estimator_tag=tag, S=batch.S, seed=batch.seed)
+def _check_loo(f: np.ndarray) -> None:
+    if f.shape[-1] < 2:
+        raise ValueError("the leave-one-out estimator needs S >= 2 (empirical variance)")
 
 
-def reinforce(batch: SampleBatch) -> GradientEstimate:
+def reinforce(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Plain score-function estimator: (1/S) sum_s f_s * score_s."""
-    return _estimate(batch, REINFORCE_TAG)
+    return combine(batch_sums(f, scores), REINFORCE_TAG)
 
 
-def cv_estimator(batch: SampleBatch, a) -> GradientEstimate:
+def cv_estimator(f: np.ndarray, scores: np.ndarray, a) -> np.ndarray:
     """Reinforce minus a constant-coefficient score control variate.
 
     The correction a (*) mean(score) is elementwise per coordinate and has
     zero expectation, so any finite constant a leaves the mean unchanged.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (batch.num_params,):
-        raise ValueError(f"a must have shape ({batch.num_params},), got {a.shape}")
+    p = scores.shape[-1]
+    if a.shape != (p,):
+        raise ValueError(f"a must have shape ({p},), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("control-variate coefficients must be finite")
-    return _estimate(batch, CV_TAG, a)
+    return combine(batch_sums(f, scores), CV_TAG, a)
 
 
-def vargrad(batch: SampleBatch) -> GradientEstimate:
+def vargrad(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Leave-one-out estimator: (1/(S-1)) [sum_s f_s score_s - f_bar sum_s score_s]."""
-    if batch.S < 2:
-        raise ValueError("the leave-one-out estimator needs S >= 2 (empirical variance)")
-    return _estimate(batch, VARGRAD_TAG)
+    _check_loo(f)
+    return combine(batch_sums(f, scores), VARGRAD_TAG)
 
 
-def vargrad_via_loss(batch: SampleBatch) -> GradientEstimate:
+def vargrad_via_loss(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """The same estimator derived by differentiating the loss.
 
     Half the unbiased empirical variance of f is (1/(2(S-1))) sum (f_s - f_bar)^2;
@@ -202,10 +153,8 @@ def vargrad_via_loss(batch: SampleBatch) -> GradientEstimate:
     (1/(S-1)) sum_s (f_s - f_bar) score_s, since the f_bar derivative pairs
     with a term that sums to zero. Agrees with vargrad() to 1e-12 relative.
     """
-    if batch.S < 2:
-        raise ValueError("the leave-one-out estimator needs S >= 2 (empirical variance)")
-    grad = (batch.f_values - batch.f_bar) @ batch.scores / (batch.S - 1)
-    return GradientEstimate(grad=grad, estimator_tag=VARGRAD_TAG, S=batch.S, seed=batch.seed)
+    _check_loo(f)
+    return (f - f.mean()) @ scores / (f.shape[0] - 1)
 
 
 def sampled_cv_coefficient(
@@ -221,5 +170,4 @@ def sampled_cv_coefficient(
     """
     if S_extra < 2:
         raise ValueError(f"S_extra must be >= 2, got {S_extra}")
-    batch = build_batch(params, target, rng, S_extra)
-    return cv_coefficient(batch.f_values, batch.scores)
+    return cv_coefficient(*build_batch(params, target, rng, S_extra))

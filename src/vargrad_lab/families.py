@@ -22,9 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-GAUSSIAN_TAG = "diag_gaussian"
-BERNOULLI_TAG = "mean_field_bernoulli"
-
 # Bernoulli probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] so scores and
 # log-densities stay finite at saturated logits. The clamp is applied in logit
 # space so that probs, log_density and score all describe the same distribution.
@@ -125,14 +122,6 @@ class MeanFieldBernoulliParams:
 
 
 Params = DiagGaussianParams | MeanFieldBernoulliParams
-
-
-def family_tag(params: Params) -> str:
-    if isinstance(params, DiagGaussianParams):
-        return GAUSSIAN_TAG
-    if isinstance(params, MeanFieldBernoulliParams):
-        return BERNOULLI_TAG
-    raise TypeError(f"unknown family: {type(params).__name__}")
 
 
 def param_labels(params: Params) -> list[str]:

@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteGradientError, FloatingPointError) as exc:
+    except (NonFiniteGradientError, ArithmeticError) as exc:  # overflow, fp errors
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     print(out)

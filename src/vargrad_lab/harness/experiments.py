@@ -130,9 +130,8 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
     labels = families.param_labels(params)
     rows = []
     for spec in specs:
-        x = ests[spec.name]
-        mean = x.mean(axis=0)
-        se = x.std(axis=0, ddof=1) / math.sqrt(R)
+        report = analysis.report_from_estimates(ests[spec.name])
+        mean, se = report.per_coordinate_mean, report.mean_standard_errors
         for k in range(params.num_params):
             z = _z_score(float(mean[k]), float(exact_grad[k]), float(se[k]))
             rows.append(
@@ -167,15 +166,14 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
     rows = []
     for i, (mu, mu_tilde, sigma2, sigma2_tilde, S) in enumerate(grid):
         q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
-        pair = analysis.paired_variance_difference(
-            q,
-            target,
-            split_stream(cfg.seed, "variance-sweep", i),
-            S,
-            R,
+        specs = [
             EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
             EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
+        ]
+        ests = analysis.replicate_estimates(
+            q, target, split_stream(cfg.seed, "variance-sweep", i), S, R, specs
         )
+        pair = analysis.paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
         setting = Gaussian1DSetting(
             mu=mu, mu_tilde=mu_tilde, sigma2=sigma2, sigma2_tilde=sigma2_tilde, S=S
         )
@@ -215,6 +213,8 @@ def run_delta_ratio(cfg: ExperimentConfig) -> str:
         report = analysis.delta_cv_mc(q, target, split_stream(cfg.seed, "delta-ratio", d), n)
         delta_pop = delta_cv_analytic(q, target)
         a_pop = losses.kl_gaussian_closed_form(q, target) - target.log_evidence
+        # at q = posterior both coefficient expectations are 0 and no ratio exists
+        ratio_defined = a_pop != 0.0 and report.a_vargrad_expectation != 0.0
         labels = families.param_labels(q)
         for k in range(q.num_params):
             rows.append(
@@ -229,8 +229,8 @@ def run_delta_ratio(cfg: ExperimentConfig) -> str:
                     "a_expectation_analytic": a_pop,
                     "ratio_abs_mc": abs(float(report.ratio[k])),
                     "ratio_se": float(report.ratio_se[k]),
-                    "ratio_abs_analytic": abs(float(delta_pop[k] / a_pop)),
-                    "valid": bool(report.valid[k]),
+                    "ratio_abs_analytic": abs(float(delta_pop[k]) / a_pop) if a_pop else math.nan,
+                    "valid": bool(report.valid[k]) and ratio_defined,
                 }
             )
     metadata = {
@@ -264,15 +264,16 @@ def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
             "delta_var": delta_var_analytic(setting),
             "delta_var_large_s": delta_var_large_s(mu - mu_tilde, sigma2 - sigma2_tilde),
             "kl": losses.kl_gaussian_closed_form(q, target),
-            "delta_mean": float(delta_cv_analytic(q, target)[0]),
-            "delta_log_std": float(delta_cv_analytic(q, target)[1]),
-            "a_opt_mean": float(optimal_a_analytic(q, target)[0]),
-            "a_opt_log_std": float(optimal_a_analytic(q, target)[1]),
-            "score_var_mean": float(score_variance_analytic(q)[0]),
-            "score_var_log_std": float(score_variance_analytic(q)[1]),
-            "kurt_mean": float(families.gaussian_score_kurtosis_analytic(q)[0]),
-            "kurt_log_std": float(families.gaussian_score_kurtosis_analytic(q)[1]),
         }
+        # each oracle is evaluated once; its (mean, log_std) pair fills two columns
+        for name, values in (
+            ("delta", delta_cv_analytic(q, target)),
+            ("a_opt", optimal_a_analytic(q, target)),
+            ("score_var", score_variance_analytic(q)),
+            ("kurt", families.gaussian_score_kurtosis_analytic(q)),
+        ):
+            row[f"{name}_mean"] = float(values[0])
+            row[f"{name}_log_std"] = float(values[1])
         for j, convention in enumerate(CONVENTIONS):
             row[f"cov_{convention}"] = cov_f_score2_analytic(q, target, 0, convention)
             mc, se = analysis.cov_f_score2_mc(
@@ -314,7 +315,7 @@ def run_cv_comparison(cfg: ExperimentConfig) -> str:
                 q, target, split_stream(cfg.seed, f"cv-comparison-{d}", S), S, R, specs
             )
             for spec in specs:
-                report = analysis.report_from_estimates(ests[spec.name], S, spec.tag)
+                report = analysis.report_from_estimates(ests[spec.name])
                 for k in range(q.num_params):
                     rows.append(
                         {
@@ -384,14 +385,12 @@ def run_train_logreg(cfg: ExperimentConfig) -> str:
         ests = analysis.replicate_estimates(
             q, model, split_stream(cfg.seed, "diag-variance", t), var_S, var_R, specs
         )
-        pair = analysis.paired_difference_from_estimates(
-            ests["reinforce"], ests["vargrad"], var_S, REINFORCE_TAG, VARGRAD_TAG
-        )
+        pair = analysis.paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
         # the pair already summarised the two estimators it compares
         reports = {"reinforce": pair.report_a, "vargrad": pair.report_b}
         for s in specs:
             if s.name not in reports:
-                reports[s.name] = analysis.report_from_estimates(ests[s.name], var_S, s.tag)
+                reports[s.name] = analysis.report_from_estimates(ests[s.name])
         for k in range(q.num_params):
             row = {
                 "step": t,
@@ -415,8 +414,8 @@ def run_train_logreg(cfg: ExperimentConfig) -> str:
     log_step(0, params)
     phi = params.to_vector()
     for t in range(1, steps + 1):
-        batch = estimators.build_batch(params, model, split_stream(cfg.seed, "train", t), S_train)
-        grad = estimators.vargrad(batch).grad
+        f, sc = estimators.build_batch(params, model, split_stream(cfg.seed, "train", t), S_train)
+        grad = estimators.vargrad(f, sc)
         phi = optim.sgd_step(state, phi, grad)
         params = DiagGaussianParams.from_vector(phi)
         if t % every == 0:

@@ -21,24 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .estimators import SampleBatch, draw_f
+from .estimators import draw_f
 from .families import DiagGaussianParams, Params
 from .targets import DiscreteToyModel, GaussianTarget, Target
 
-LOG_VARIANCE_TAG = "log_variance"
-MOMENT_TAG = "moment"
-CHI2_VARIANCE_TAG = "chi2_variance"
-
 
 @dataclass(frozen=True)
-class LossEstimate:
-    value: float
-    S: int
-    loss_tag: str
-
-
-@dataclass(frozen=True)
-class Chi2VarianceEstimate(LossEstimate):
+class Chi2VarianceEstimate:
     """Chi-squared variance loss plus heavy-tail diagnostics.
 
     max_ratio is the running maximum of the posterior/q density ratio over
@@ -47,20 +36,20 @@ class Chi2VarianceEstimate(LossEstimate):
     integrability condition when the target allows checking it.
     """
 
-    max_ratio: float = np.nan
-    second_moment_finite: bool | None = None
+    value: float
+    max_ratio: float
+    second_moment_finite: bool
 
 
-def log_variance_loss(batch: SampleBatch) -> LossEstimate:
+def log_variance_loss(f: np.ndarray) -> float:
     """Half the unbiased empirical variance of the f values. Always >= 0 and
     unchanged by constant shifts of log p(x, z)."""
-    if batch.S < 2:
+    if f.shape[0] < 2:
         raise ValueError("log-variance loss needs S >= 2")
-    value = 0.5 * float(np.var(batch.f_values, ddof=1))
-    return LossEstimate(value=value, S=batch.S, loss_tag=LOG_VARIANCE_TAG)
+    return 0.5 * float(np.var(f, ddof=1))
 
 
-def moment_loss(batch: SampleBatch, log_evidence: float = 0.0) -> LossEstimate:
+def moment_loss(f: np.ndarray, log_evidence: float = 0.0) -> float:
     """Half the mean square of f measured against the normalised posterior.
 
     f + log p(x) equals log q - log p(z|x), so a target with declared
@@ -68,8 +57,7 @@ def moment_loss(batch: SampleBatch, log_evidence: float = 0.0) -> LossEstimate:
     as-is. Unlike the log-variance loss this value moves when the evidence
     constant moves.
     """
-    value = 0.5 * float(np.mean((batch.f_values + log_evidence) ** 2))
-    return LossEstimate(value=value, S=batch.S, loss_tag=MOMENT_TAG)
+    return 0.5 * float(np.mean((f + log_evidence) ** 2))
 
 
 def chi2_variance_loss(
@@ -102,8 +90,6 @@ def chi2_variance_loss(
     value = 0.5 * float(np.var(ratios, ddof=1))
     return Chi2VarianceEstimate(
         value=value,
-        S=S,
-        loss_tag=CHI2_VARIANCE_TAG,
         max_ratio=float(np.max(ratios)),
         second_moment_finite=finite,
     )

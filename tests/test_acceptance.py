@@ -25,7 +25,6 @@ from vargrad_lab.analysis import (
     replicate_estimates,
 )
 from vargrad_lab.estimators import (
-    SampleBatch,
     build_batch,
     sampled_cv_coefficient,
     vargrad,
@@ -116,7 +115,7 @@ def test_c02_loss_gradient_identity_and_exact_pair_expectation():
             target = DiscreteToyModel(log_joint_table=rng.normal(0.0, 1.0, 2**d))
         batch = build_batch(q, target, rng, s)
         np.testing.assert_allclose(
-            vargrad_via_loss(batch).grad, vargrad(batch).grad, rtol=1e-12, atol=1e-12
+            vargrad_via_loss(*batch), vargrad(*batch), rtol=1e-12, atol=1e-12
         )
 
     target = DiscreteToyModel(log_joint_table=np.array([0.2, -0.9]))
@@ -131,14 +130,7 @@ def test_c02_loss_gradient_identity_and_exact_pair_expectation():
             f = np.asarray(
                 families.log_density(q, z) - target.log_joint_table[[i, j]], float
             )
-            batch = SampleBatch(
-                samples=z,
-                f_values=f,
-                scores=families.score(q, z),
-                f_bar=float(f.mean()),
-                family_tag=families.family_tag(q),
-            )
-            expectation += probs[i] * probs[j] * vargrad(batch).grad
+            expectation += probs[i] * probs[j] * vargrad(f, families.score(q, z))
     np.testing.assert_allclose(expectation, grad, rtol=1e-9, atol=1e-12)
 
 
@@ -216,9 +208,7 @@ def test_c05_analytic_coefficient_is_the_variance_minimiser():
     ]
     ests = replicate_estimates(q, t, split_stream(500, "acc-c5-grid"), 4, 40000, specs)
     for i in range(11):
-        pair = paired_difference_from_estimates(
-            ests["cv_5"], ests[f"cv_{i}"], 4, CV_TAG, CV_TAG
-        )
+        pair = paired_difference_from_estimates(ests["cv_5"], ests[f"cv_{i}"])
         assert pair.diff[0] <= 4.0 * pair.diff_se[0] + 1e-12, offsets[i]
 
 

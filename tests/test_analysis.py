@@ -15,7 +15,6 @@ from vargrad_lab.analysis import (
     gaussian_sup_ratio,
     kurtosis_mc,
     paired_difference_from_estimates,
-    paired_variance_difference,
     replicate_estimates,
     report_from_estimates,
     variance_ordering_check,
@@ -24,14 +23,12 @@ from vargrad_lab.estimators import (
     CV_TAG,
     REINFORCE_TAG,
     VARGRAD_TAG,
-    SampleBatch,
     cv_coefficient,
     cv_estimator,
     reinforce,
     vargrad_via_loss,
 )
 from vargrad_lab.families import (
-    GAUSSIAN_TAG,
     DiagGaussianParams,
     MeanFieldBernoulliParams,
     draw,
@@ -134,14 +131,14 @@ def test_replicate_estimates_stream_layout(monkeypatch, cap):
         f, sc = blocks(rng, rows, S)
         extra = {s.name: blocks(rng, rows, s.s_extra) for s in specs if s.s_extra}
         for i in range(rows):
-            b = SampleBatch(np.zeros((S, 2)), f[i], sc[i], float(f[i].mean()), GAUSSIAN_TAG)
+            b = f[i], sc[i]
             r = start + i
-            np.testing.assert_array_equal(got["reinforce"][r], reinforce(b).grad)
-            np.testing.assert_array_equal(got["cv"][r], cv_estimator(b, a).grad)
-            np.testing.assert_allclose(got["vargrad"][r], vargrad_via_loss(b).grad, rtol=1e-12)
+            np.testing.assert_array_equal(got["reinforce"][r], reinforce(*b))
+            np.testing.assert_array_equal(got["cv"][r], cv_estimator(*b, a))
+            np.testing.assert_allclose(got["vargrad"][r], vargrad_via_loss(*b), rtol=1e-12)
             for name, (fe, se) in extra.items():
                 a_r = cv_coefficient(fe[i], se[i])
-                np.testing.assert_array_equal(got[name][r], cv_estimator(b, a_r).grad)
+                np.testing.assert_array_equal(got[name][r], cv_estimator(*b, a_r))
         start += rows
 
 
@@ -173,36 +170,35 @@ def test_replicate_estimates_validation():
 
 def test_report_from_estimates_matches_numpy():
     x = np.random.default_rng(104).normal(size=(500, 3))
-    rep = report_from_estimates(x, S=4, tag=VARGRAD_TAG)
+    rep = report_from_estimates(x)
     np.testing.assert_allclose(rep.per_coordinate_variance, x.var(axis=0, ddof=1))
     np.testing.assert_allclose(rep.per_coordinate_mean, x.mean(axis=0))
     np.testing.assert_allclose(
         rep.mean_standard_errors, x.std(axis=0, ddof=1) / math.sqrt(500)
     )
-    assert rep.R == 500 and rep.S == 4 and rep.estimator_tag == VARGRAD_TAG
 
 
 def test_jackknife_variance_se_matches_normal_theory():
     # for iid normals the variance of the sample variance is 2 sigma^4/(R-1)
     rng = np.random.default_rng(105)
     x = rng.normal(0.0, 2.0, size=(6000, 1))
-    rep = report_from_estimates(x, S=1, tag=REINFORCE_TAG)
+    rep = report_from_estimates(x)
     theory = math.sqrt(2.0 / (6000 - 1)) * 4.0
     assert rep.standard_errors[0] == pytest.approx(theory, rel=0.2)
 
 
 def test_report_smallest_replicate_counts():
     x = np.zeros((2, 1))
-    rep = report_from_estimates(x, S=2, tag=VARGRAD_TAG)
+    rep = report_from_estimates(x)
     assert np.isnan(rep.standard_errors[0])  # jackknife needs R >= 3
     with pytest.raises(ValueError):
-        report_from_estimates(np.zeros((1, 1)), S=2, tag=VARGRAD_TAG)
+        report_from_estimates(np.zeros((1, 1)))
 
 
 def test_estimator_variance_zero_at_posterior():
     q, t = pair(0.4, 1.3, 0.4, 1.3)
     x = replicate_estimates(q, t, np.random.default_rng(106), 4, 200, [SPEC_RV[1]])
-    rep = report_from_estimates(x["vargrad"], 4, VARGRAD_TAG)
+    rep = report_from_estimates(x["vargrad"])
     assert np.all(rep.per_coordinate_variance < 1e-15)
 
 
@@ -217,9 +213,15 @@ def test_estimator_variance_cv_needs_coefficient():
 # -------------------------------------------------------- paired differences
 
 
+def paired_difference(q, t, rng, S, R, spec_a, spec_b):
+    """Var(a) - Var(b) on shared replicate draws, as the CLI runners take it."""
+    ests = replicate_estimates(q, t, rng, S, R, [spec_a, spec_b])
+    return paired_difference_from_estimates(ests[spec_a.name], ests[spec_b.name])
+
+
 def test_paired_difference_of_identical_specs_is_zero():
     q, t = pair(1.0, 2.0, 0.0, 1.0)
-    same = paired_variance_difference(
+    same = paired_difference(
         q,
         t,
         np.random.default_rng(107),
@@ -235,9 +237,7 @@ def test_paired_difference_of_identical_specs_is_zero():
 def test_paired_difference_matches_closed_form_gap():
     # S = 100 at (mu 1, post 2, variances 1): the gap is 91/39600
     q, t = pair(1.0, 1.0, 2.0, 1.0)
-    got = paired_variance_difference(
-        q, t, np.random.default_rng(108), 100, 100_000, *SPEC_RV
-    )
+    got = paired_difference(q, t, np.random.default_rng(108), 100, 100_000, *SPEC_RV)
     want = 91.0 / 39600.0
     assert abs(got.diff[0] - want) < 4.0 * got.diff_se[0]
     assert got.diff[0] > 0.0
@@ -245,9 +245,7 @@ def test_paired_difference_matches_closed_form_gap():
 
 def test_paired_difference_from_estimates_validates():
     with pytest.raises(ValueError):
-        paired_difference_from_estimates(
-            np.zeros((5, 1)), np.zeros((6, 1)), 2, REINFORCE_TAG, VARGRAD_TAG
-        )
+        paired_difference_from_estimates(np.zeros((5, 1)), np.zeros((6, 1)))
 
 
 # -------------------------------------------------------------- delta MC

@@ -170,3 +170,18 @@ def test_list_entries_below_minimum_are_config_errors(tmp_path, experiment, key,
     assert proc.stderr.startswith("config error:") and f"'{key}'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_overflow_during_a_run_is_a_numerical_abort(tmp_path):
+    # sigma2 = 1e-300 passes validation, then squaring the closed form's
+    # 1/sigma2 coefficient overflows Python float arithmetic
+    cfg = write_cfg(
+        tmp_path,
+        "experiment = variance-sweep\nseed = 1\n"
+        "sweep.grid_points = [[1, 2, 1e-300, 1, 2]]\nsweep.replicates = 50\n",
+    )
+    out = tmp_path / "x.csv"
+    proc = run_module(["variance-sweep", "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical abort:")
+    assert "Traceback" not in proc.stderr

@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vargrad_lab import estimators
 from vargrad_lab.estimators import (
-    CV_TAG,
-    REINFORCE_TAG,
-    VARGRAD_TAG,
-    SampleBatch,
     build_batch,
     cv_estimator,
     reinforce,
@@ -20,10 +17,9 @@ from vargrad_lab.estimators import (
     vargrad_via_loss,
 )
 from vargrad_lab.families import (
-    BERNOULLI_TAG,
-    GAUSSIAN_TAG,
     DiagGaussianParams,
     MeanFieldBernoulliParams,
+    draw,
     log_density,
     score,
 )
@@ -43,22 +39,14 @@ def gauss(mean, log_std):
     )
 
 
-def manual_batch(f_values, scores, tag=GAUSSIAN_TAG):
-    f_values = np.asarray(f_values, dtype=float)
-    scores = np.asarray(scores, dtype=float)
-    return SampleBatch(
-        samples=np.zeros((f_values.size, 1)),
-        f_values=f_values,
-        scores=scores,
-        f_bar=float(f_values.mean()),
-        family_tag=tag,
-    )
+def manual_batch(f_values, scores):
+    return np.asarray(f_values, dtype=float), np.asarray(scores, dtype=float)
 
 
 def random_batch(rng, S=None, P=None):
     S = S or int(rng.integers(2, 9))
     P = P or int(rng.integers(1, 5))
-    return manual_batch(rng.normal(size=S), rng.normal(size=(S, P)))
+    return rng.normal(size=S), rng.normal(size=(S, P))
 
 
 # -------------------------------------------------------------- batch plumbing
@@ -67,34 +55,21 @@ def random_batch(rng, S=None, P=None):
 def test_build_batch_fields_and_reproducibility():
     q = gauss([0.0, 1.0], [0.0, 0.2])
     t = GaussianTarget(post_mean=np.array([1.0, 0.0]), post_var=np.array([1.0, 2.0]))
-    b1 = build_batch(q, t, np.random.default_rng(8), 16)
-    b2 = build_batch(q, t, np.random.default_rng(8), 16)
-    assert b1.S == 16 and b1.num_params == 4
-    assert b1.family_tag == GAUSSIAN_TAG
-    np.testing.assert_array_equal(b1.samples, b2.samples)
-    np.testing.assert_array_equal(b1.f_values, b2.f_values)
-    assert b1.f_bar == b2.f_bar
+    f1, sc1 = build_batch(q, t, np.random.default_rng(8), 16)
+    f2, sc2 = build_batch(q, t, np.random.default_rng(8), 16)
+    assert f1.shape == (16,) and sc1.shape == (16, 4)
+    np.testing.assert_array_equal(f1, f2)
+    np.testing.assert_array_equal(sc1, sc2)
 
 
 def test_build_batch_f_is_log_ratio():
     q = gauss([0.5], [0.1])
     t = GaussianTarget(post_mean=np.array([0.0]), post_var=np.array([1.0]), log_evidence=2.0)
-    b = build_batch(q, t, np.random.default_rng(9), 5)
-    want = np.array(
-        [float(log_density(q, z)) - float(log_joint(t, z)) for z in b.samples]
-    )
-    np.testing.assert_allclose(b.f_values, want, rtol=1e-12, atol=1e-12)
-
-
-def test_sample_batch_validates_f_bar():
-    with pytest.raises(ValueError):
-        SampleBatch(
-            samples=np.zeros((2, 1)),
-            f_values=np.array([1.0, 2.0]),
-            scores=np.zeros((2, 1)),
-            f_bar=9.0,
-            family_tag=GAUSSIAN_TAG,
-        )
+    f, sc = build_batch(q, t, np.random.default_rng(9), 5)
+    z = draw(q, np.random.default_rng(9), 5)  # the draws build_batch made
+    want = np.array([float(log_density(q, zi)) - float(log_joint(t, zi)) for zi in z])
+    np.testing.assert_allclose(f, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(sc, score(q, z))
 
 
 def test_build_batch_rejects_empty():
@@ -105,26 +80,26 @@ def test_build_batch_rejects_empty():
 
 
 def test_elbo_estimate_is_negated_mean():
-    # the Monte Carlo ELBO of a batch is -f_bar
-    b = manual_batch([1.0, 2.0, 4.0], np.zeros((3, 1)))
-    assert -b.f_bar == pytest.approx(-7.0 / 3.0, abs=1e-15)
+    # the Monte Carlo ELBO of a batch is -mean(f)
+    f, _ = manual_batch([1.0, 2.0, 4.0], np.zeros((3, 1)))
+    assert -f.mean() == pytest.approx(-7.0 / 3.0, abs=1e-15)
 
 
 def test_elbo_matched_posterior_is_zero():
     q = gauss([1.0], [0.0])
     t = GaussianTarget(post_mean=np.array([1.0]), post_var=np.array([1.0]))
-    b = build_batch(q, t, np.random.default_rng(10), 64)
-    assert -b.f_bar == pytest.approx(0.0, abs=1e-12)
+    f, _ = build_batch(q, t, np.random.default_rng(10), 64)
+    assert -f.mean() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_elbo_is_evidence_lower_bound_in_expectation():
     # KL = 2.45 here, so the mean estimate sits well below log p(x) = 0
     q = gauss([3.0], [0.5 * math.log(3.0)])
     t = GaussianTarget(post_mean=np.array([1.0]), post_var=np.array([1.0]))
-    b = build_batch(q, t, np.random.default_rng(12), 100_000)
-    se = b.f_values.std(ddof=1) / math.sqrt(b.S)
-    assert -b.f_bar < 0.0
-    assert abs(-b.f_bar + 2.450693855665945) < 4.0 * se
+    f, _ = build_batch(q, t, np.random.default_rng(12), 100_000)
+    se = f.std(ddof=1) / math.sqrt(f.size)
+    assert -f.mean() < 0.0
+    assert abs(-f.mean() + 2.450693855665945) < 4.0 * se
 
 
 # ------------------------------------------------------------ frozen examples
@@ -132,25 +107,31 @@ def test_elbo_is_evidence_lower_bound_in_expectation():
 
 def test_hand_batch_values():
     b = manual_batch([1.0, 2.0, 4.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    np.testing.assert_allclose(reinforce(b).grad, [5.0 / 3.0, 2.0], atol=1e-15)
-    np.testing.assert_allclose(vargrad(b).grad, [1.0 / 6.0, 2.0 / 3.0], atol=1e-15)
+    np.testing.assert_allclose(reinforce(*b), [5.0 / 3.0, 2.0], atol=1e-15)
+    np.testing.assert_allclose(vargrad(*b), [1.0 / 6.0, 2.0 / 3.0], atol=1e-15)
     np.testing.assert_allclose(
-        cv_estimator(b, np.array([1.0, 1.0])).grad, [1.0, 4.0 / 3.0], atol=1e-15
+        cv_estimator(*b, np.array([1.0, 1.0])), [1.0, 4.0 / 3.0], atol=1e-15
     )
-    assert reinforce(b).estimator_tag == REINFORCE_TAG
-    assert vargrad(b).estimator_tag == VARGRAD_TAG
-    assert cv_estimator(b, np.zeros(2)).estimator_tag == CV_TAG
 
 
 def test_single_sample_reinforce_is_f_times_score():
     b = manual_batch([3.0], [[0.5, -2.0]])
-    np.testing.assert_array_equal(reinforce(b).grad, [1.5, -6.0])
+    np.testing.assert_array_equal(reinforce(*b), [1.5, -6.0])
 
 
 def test_two_sample_vargrad_hand_expansion():
     b = manual_batch([1.0, 3.0], [[2.0], [5.0]])
     # (f1 - f2) (s1 - s2) / 2 = (-2)(-3)/2 = 3
-    assert vargrad(b).grad[0] == pytest.approx(3.0, abs=1e-15)
+    assert vargrad(*b)[0] == pytest.approx(3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("estimator", ["reinforce", "cv_estimator", "vargrad", "vargrad_via_loss"])
+@pytest.mark.parametrize("S_f, S_scores", [(3, 4), (1, 4), (4, 1)])
+def test_estimators_reject_mismatched_sample_counts(estimator, S_f, S_scores):
+    f, scores = np.ones(S_f), np.ones((S_scores, 2))
+    args = (f, scores, np.zeros(2)) if estimator == "cv_estimator" else (f, scores)
+    with pytest.raises(ValueError):
+        getattr(estimators, estimator)(*args)
 
 
 # ------------------------------------------------------------------ identities
@@ -159,18 +140,17 @@ def test_two_sample_vargrad_hand_expansion():
 def test_cv_with_zero_coefficient_is_reinforce():
     rng = np.random.default_rng(51)
     for _ in range(50):
-        b = random_batch(rng)
-        np.testing.assert_array_equal(
-            cv_estimator(b, np.zeros(b.num_params)).grad, reinforce(b).grad
-        )
+        f, sc = random_batch(rng)
+        np.testing.assert_array_equal(cv_estimator(f, sc, np.zeros(sc.shape[1])), reinforce(f, sc))
 
 
 def test_cv_at_mean_loss_recovers_scaled_vargrad():
     rng = np.random.default_rng(52)
     for _ in range(200):
-        b = random_batch(rng)
-        got = cv_estimator(b, np.full(b.num_params, b.f_bar)).grad
-        want = (b.S - 1) / b.S * vargrad(b).grad
+        f, sc = random_batch(rng)
+        S, P = sc.shape
+        got = cv_estimator(f, sc, np.full(P, f.mean()))
+        want = (S - 1) / S * vargrad(f, sc)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -178,9 +158,7 @@ def test_vargrad_via_loss_identity_random_batches():
     rng = np.random.default_rng(53)
     for _ in range(200):
         b = random_batch(rng)
-        np.testing.assert_allclose(
-            vargrad_via_loss(b).grad, vargrad(b).grad, rtol=1e-12, atol=1e-12
-        )
+        np.testing.assert_allclose(vargrad_via_loss(*b), vargrad(*b), rtol=1e-12, atol=1e-12)
 
 
 @given(
@@ -190,60 +168,52 @@ def test_vargrad_via_loss_identity_random_batches():
 def test_vargrad_via_loss_identity_property(f, seed):
     scores = np.random.default_rng(seed).normal(size=(len(f), 3))
     b = manual_batch(f, scores)
-    np.testing.assert_allclose(
-        vargrad_via_loss(b).grad, vargrad(b).grad, rtol=1e-9, atol=1e-9
-    )
+    np.testing.assert_allclose(vargrad_via_loss(*b), vargrad(*b), rtol=1e-9, atol=1e-9)
 
 
 def test_vargrad_translation_invariance():
     rng = np.random.default_rng(54)
     for c in (1.0, -17.5, 1e4):
-        b = random_batch(rng, S=8, P=3)
-        shifted = manual_batch(b.f_values + c, b.scores)
-        np.testing.assert_allclose(
-            vargrad(shifted).grad, vargrad(b).grad, rtol=1e-9, atol=1e-9
-        )
+        f, sc = random_batch(rng, S=8, P=3)
+        np.testing.assert_allclose(vargrad(f + c, sc), vargrad(f, sc), rtol=1e-9, atol=1e-9)
 
 
 def test_reinforce_translation_shifts_by_score_mean():
     rng = np.random.default_rng(55)
-    b = random_batch(rng, S=8, P=3)
+    f, sc = random_batch(rng, S=8, P=3)
     c = 2.5
-    shifted = manual_batch(b.f_values + c, b.scores)
-    want = reinforce(b).grad + c * b.scores.mean(axis=0)
-    np.testing.assert_allclose(reinforce(shifted).grad, want, rtol=1e-12, atol=1e-12)
+    want = reinforce(f, sc) + c * sc.mean(axis=0)
+    np.testing.assert_allclose(reinforce(f + c, sc), want, rtol=1e-12, atol=1e-12)
 
 
 def test_constant_loss_gives_zero_vargrad_and_scaled_score_mean_reinforce():
     scores = np.random.default_rng(56).normal(size=(6, 2))
-    b = manual_batch(np.full(6, 3.25), scores)
-    np.testing.assert_allclose(vargrad(b).grad, 0.0, atol=1e-12)
-    np.testing.assert_allclose(
-        reinforce(b).grad, 3.25 * scores.mean(axis=0), rtol=1e-12
-    )
+    f = np.full(6, 3.25)
+    np.testing.assert_allclose(vargrad(f, scores), 0.0, atol=1e-12)
+    np.testing.assert_allclose(reinforce(f, scores), 3.25 * scores.mean(axis=0), rtol=1e-12)
 
 
 def test_matched_posterior_gradients_vanish():
     q = gauss([1.0, -0.5], [0.0, 0.3])
     t = GaussianTarget(post_mean=q.mean.copy(), post_var=q.var.copy())
-    b = build_batch(q, t, np.random.default_rng(57), 32)
-    np.testing.assert_allclose(vargrad(b).grad, 0.0, atol=1e-10)
+    f, sc = build_batch(q, t, np.random.default_rng(57), 32)
+    np.testing.assert_allclose(vargrad(f, sc), 0.0, atol=1e-10)
 
 
 def test_vargrad_requires_two_samples():
     b = manual_batch([1.0], [[1.0]])
     with pytest.raises(ValueError):
-        vargrad(b)
+        vargrad(*b)
     with pytest.raises(ValueError):
-        vargrad_via_loss(b)
+        vargrad_via_loss(*b)
 
 
 def test_cv_estimator_validates_coefficient():
     b = manual_batch([1.0, 2.0], [[1.0], [0.0]])
     with pytest.raises(ValueError):
-        cv_estimator(b, np.zeros(3))
+        cv_estimator(*b, np.zeros(3))
     with pytest.raises(ValueError):
-        cv_estimator(b, np.array([np.nan]))
+        cv_estimator(*b, np.array([np.nan]))
 
 
 # ----------------------------------------------------------- exact expectation
@@ -263,14 +233,7 @@ def test_vargrad_expectation_equals_exact_gradient_by_enumeration():
         f = np.array(
             [float(log_density(q, zi)) - float(log_joint(model, zi)) for zi in z]
         )
-        b = SampleBatch(
-            samples=z,
-            f_values=f,
-            scores=score(q, z),
-            f_bar=float(f.mean()),
-            family_tag=BERNOULLI_TAG,
-        )
-        expectation += w * vargrad(b).grad
+        expectation += w * vargrad(f, score(q, z))
     _, exact = exact_kl_and_gradient(model, q)
     np.testing.assert_allclose(expectation, exact, rtol=1e-9, atol=1e-12)
 
@@ -293,15 +256,9 @@ def test_reinforce_and_cv_expectations_match_by_enumeration():
         f = np.array(
             [float(log_density(q, zi)) - float(log_joint(model, zi)) for zi in z]
         )
-        b = SampleBatch(
-            samples=z,
-            f_values=f,
-            scores=score(q, z),
-            f_bar=float(f.mean()),
-            family_tag=BERNOULLI_TAG,
-        )
-        e_reinforce += w * reinforce(b).grad
-        e_cv += w * cv_estimator(b, a).grad
+        sc = score(q, z)
+        e_reinforce += w * reinforce(f, sc)
+        e_cv += w * cv_estimator(f, sc, a)
     _, exact = exact_kl_and_gradient(model, q)
     # the fixed control variate leaves the expectation untouched
     np.testing.assert_allclose(e_reinforce, exact, rtol=1e-9, atol=1e-12)

@@ -1,6 +1,7 @@
 """End-to-end experiment runners on reduced configurations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,31 @@ def test_delta_ratio_shrinks_with_dimension(tmp_path):
         2.0 / (3 * kl1), rel=1e-12
     )
     assert mean_rows[3]["ratio_abs_analytic"] < mean_rows[1]["ratio_abs_analytic"]
+
+
+def test_delta_ratio_at_posterior_flags_undefined_ratio(tmp_path):
+    # q equals the posterior, so both coefficient expectations are exactly 0
+    # and neither ratio exists; the rows say so instead of passing NaN as valid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, _, rows = run(
+            tmp_path,
+            f"""
+            experiment = delta-ratio
+            seed = 1
+            out = {tmp_path / 'delta.csv'}
+            delta.mu = 1
+            delta.mu_tilde = 1
+            delta.sigma2 = 1
+            delta.sigma2_tilde = 1
+            delta.dims = [1]
+            """,
+        )
+    assert len(rows) == 2
+    for r in rows:
+        assert r["a_expectation_analytic"] == 0.0
+        assert math.isnan(r["ratio_abs_analytic"])
+        assert r["valid"] == 0
 
 
 # ---------------------------------------------------------- gaussian oracles

@@ -9,14 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vargrad_lab.families import (
-    BERNOULLI_TAG,
-    GAUSSIAN_TAG,
     MAX_ENUM_DIM,
     PROB_EPS,
     DiagGaussianParams,
     MeanFieldBernoulliParams,
     draw,
-    family_tag,
     gaussian_score_kurtosis_analytic,
     log_density,
     param_labels,
@@ -41,17 +38,15 @@ def bern(logits):
 # ---------------------------------------------------------------- parameters
 
 
-def test_param_containers_expose_shapes_and_tags():
+def test_param_containers_expose_shapes_and_labels():
     q = gauss([0.0, 1.0], [0.0, math.log(2.0)])
     assert q.dim == 2 and q.num_params == 4
     np.testing.assert_allclose(q.std, [1.0, 2.0])
     np.testing.assert_allclose(q.var, [1.0, 4.0])
-    assert family_tag(q) == GAUSSIAN_TAG
     assert param_labels(q) == ["mean_0", "mean_1", "log_std_0", "log_std_1"]
 
     b = bern([0.0, 2.0, -1.0])
     assert b.dim == 3 and b.num_params == 3
-    assert family_tag(b) == BERNOULLI_TAG
     assert param_labels(b) == ["logit_0", "logit_1", "logit_2"]
 
 
