@@ -32,23 +32,11 @@ from .estimators import (
     cv_coefficient,
     draw_f,
 )
-from .families import (
-    DiagGaussianParams,
-    MeanFieldBernoulliParams,
-    Params,
-    gaussian_score_kurtosis_analytic,
-    support_probs,
-    support_states,
-)
-from .gaussian_oracles import (
-    CONVENTIONS,
-    MEAN_CONVENTION,
-    VARIANCE_CONVENTION,
-    delta_cv_analytic,
-)
+from .families import DiagGaussianParams, Params, gaussian_score_kurtosis_analytic
+from .gaussian_oracles import CONVENTIONS, MEAN_CONVENTION, VARIANCE_CONVENTION
 # log_joint is no longer called here, but perfbench/checks.py reads the
 # analysis.log_joint binding, so it stays importable from this module.
-from .targets import DiscreteToyModel, GaussianTarget, Target, log_joint  # noqa: F401
+from .targets import GaussianTarget, Target, log_joint  # noqa: F401
 
 CV_SAMPLED_TAG = "cv_sampled"
 
@@ -71,7 +59,6 @@ class DeltaReport:
     a_vargrad_expectation: float
     ratio: np.ndarray
     ratio_se: np.ndarray
-    n_samples: int
     valid: np.ndarray
 
 
@@ -108,29 +95,9 @@ class BoundReport:
     rather than infinite."""
 
     bound_rhs: np.ndarray
-    kl_value: float
-    log_evidence: float
     C: float
     kurtosis: np.ndarray
     undefined: bool
-
-
-@dataclass(frozen=True)
-class VarianceOrderingReport:
-    """Correction-term condition against the measured variance ordering.
-
-    condition_value is delta_i / ELBO from population oracles (closed form
-    for Gaussian targets, enumeration for discrete ones); the sufficient
-    condition for the leave-one-out estimator to win at large S is
-    condition_value < 1/2. diff = Var(reinforce) - Var(vargrad), measured.
-    """
-
-    condition_value: np.ndarray
-    condition_met: np.ndarray
-    var_reinforce: np.ndarray
-    var_vargrad: np.ndarray
-    diff: np.ndarray
-    diff_se: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,6 +107,13 @@ class EstimatorSpec:
     tag selects the estimator; cv needs a fixed coefficient vector a, and
     cv_sampled needs s_extra, the size of the independent batch used to
     estimate the coefficient afresh in every replicate.
+
+    vargrad weights each score by f_s minus the mean of the other S - 1
+    values of f, the leave-one-out baseline of VIMCO (Mnih & Rezende 2016)
+    and of Kool, van Hoof & Welling 2019 ("Buy 4 REINFORCE Samples, Get a
+    Baseline for Free!"). cv_sampled keeps the baseline independent of the
+    samples it weights the same way, with a fresh batch instead of the
+    other samples, and estimates the optimal coefficient from that batch.
     """
 
     name: str
@@ -303,7 +277,6 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
         a_vargrad_expectation=float(a_exp),
         ratio=ratio,
         ratio_se=ratio_se,
-        n_samples=n,
         valid=valid,
     )
 
@@ -352,64 +325,13 @@ def delta_ratio_bound(
     log_ev = target.log_evidence
     if kl == log_ev:
         bound = np.full(q_params.num_params, np.nan)
-        return BoundReport(bound, kl, log_ev, float(C), kurt, undefined=True)
+        return BoundReport(bound, float(C), kurt, undefined=True)
     if kl == 0.0:
         bound = np.full(q_params.num_params, np.inf)
-        return BoundReport(bound, kl, log_ev, float(C), kurt, undefined=False)
+        return BoundReport(bound, float(C), kurt, undefined=False)
     denom = abs(np.sqrt(kl) - log_ev / np.sqrt(kl))
     bound = 2.0 * np.sqrt(C * kurt) / denom
-    return BoundReport(bound, kl, log_ev, float(C), kurt, undefined=False)
-
-
-def _delta_and_elbo_enumerated(
-    params: MeanFieldBernoulliParams, target: DiscreteToyModel
-) -> tuple[np.ndarray, float]:
-    """Exact correction term and ELBO for a discrete model, by enumeration."""
-    states = support_states(target.dim)
-    q = support_probs(params)
-    f = np.asarray(families.log_density(params, states), float) - target.log_joint_table
-    sc = states - params.probs
-    e_f = float(q @ f)
-    e_s2 = q @ sc**2
-    cov = (q * f) @ sc**2 - e_f * e_s2  # E[s] = 0 exactly, so Var = E[s^2]
-    return cov / e_s2, -e_f
-
-
-def variance_ordering_check(
-    params: Params,
-    target: Target,
-    rng: np.random.Generator,
-    S: int,
-    R: int,
-) -> VarianceOrderingReport:
-    """Evaluate the large-S sufficient condition delta_i/ELBO < 1/2 from
-    population oracles and measure the actual variance ordering at this S."""
-    if isinstance(target, GaussianTarget) and isinstance(params, DiagGaussianParams):
-        delta = delta_cv_analytic(params, target)
-        elbo = target.log_evidence - losses.kl_gaussian_closed_form(params, target)
-    elif isinstance(target, DiscreteToyModel) and isinstance(params, MeanFieldBernoulliParams):
-        delta, elbo = _delta_and_elbo_enumerated(params, target)
-    else:
-        raise ValueError("population condition needs a Gaussian or discrete target")
-    # delta = 0 satisfies the condition trivially (no correction at all), even
-    # at ELBO = 0 where the ratio itself is 0/0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = delta / elbo if elbo != 0.0 else np.full_like(delta, np.nan)
-    condition_value = np.where(delta == 0.0, 0.0, ratio)
-    specs = [
-        EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
-        EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
-    ]
-    ests = replicate_estimates(params, target, rng, S, R, specs)
-    pair = paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
-    return VarianceOrderingReport(
-        condition_value=condition_value,
-        condition_met=condition_value < 0.5,
-        var_reinforce=pair.report_a.per_coordinate_variance,
-        var_vargrad=pair.report_b.per_coordinate_variance,
-        diff=pair.diff,
-        diff_se=pair.diff_se,
-    )
+    return BoundReport(bound, float(C), kurt, undefined=False)
 
 
 def cov_f_score2_mc(

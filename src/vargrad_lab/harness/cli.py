@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from ..optim import NonFiniteGradientError
 from .config import EXPERIMENTS, ConfigError, parse_config
 from .experiments import RUNNERS
@@ -43,7 +45,8 @@ def main(argv=None) -> int:
         cfg = cfg.with_overrides(seed=args.seed, out=args.out)
         if cfg.out is None:
             raise ConfigError("no output path: set 'out' in the config or pass --out")
-        out = RUNNERS[cfg.experiment](cfg)
+        with np.errstate(over="raise"):  # an overflow aborts instead of writing inf
+            out = RUNNERS[cfg.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

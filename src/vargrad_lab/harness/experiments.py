@@ -177,6 +177,13 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
         setting = Gaussian1DSetting(
             mu=mu, mu_tilde=mu_tilde, sigma2=sigma2, sigma2_tilde=sigma2_tilde, S=S
         )
+        # the large-S sufficient condition delta / ELBO < 1/2 for the
+        # leave-one-out estimator to beat Reinforce; delta = 0 meets it
+        # trivially (no correction at all), even at ELBO = 0. A nonzero delta
+        # over ELBO = 0 has no value: ZeroDivisionError, a numerical abort.
+        delta = float(delta_cv_analytic(q, target)[0])
+        elbo = target.log_evidence - losses.kl_gaussian_closed_form(q, target)
+        condition = delta / elbo if delta != 0.0 else 0.0
         # coordinate 0 is the mean derivative, the coordinate the closed form covers
         rows.append(
             {
@@ -190,6 +197,8 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
                 "diff": float(pair.diff[0]),
                 "diff_se": float(pair.diff_se[0]),
                 "analytic": delta_var_analytic(setting),
+                "condition_value": condition,
+                "condition_met": condition < 0.5,
             }
         )
     metadata = {

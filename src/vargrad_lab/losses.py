@@ -1,13 +1,10 @@
-"""Divergence and loss estimators.
+"""The log-variance loss and the KL divergence.
 
 The log-variance loss is half the empirical variance of
 f = log q - log p(x, z) over the batch; it is invariant to the evidence
-constant because constants have no variance. The moment loss is half the
-mean square of f measured against the normalised posterior, so it is
-evidence-sensitive. The variance loss on density ratios equals the
-chi-squared divergence when the reference equals q, and unlike the other
-two it can fail to converge when q has tails lighter than a threshold, so
-its estimator carries diagnostics.
+constant because constants have no variance. Its gradient with the
+samples held fixed is the leave-one-out estimator
+(estimators.vargrad_via_loss).
 
 KL has two routes: the closed form for diagonal Gaussians and
 the identity KL = log p(x) - ELBO, whose two terms evidence_and_elbo
@@ -16,29 +13,12 @@ estimates by importance sampling (proposal q) and by plain Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import logsumexp
 
 from .estimators import draw_f
 from .families import DiagGaussianParams, Params
-from .targets import DiscreteToyModel, GaussianTarget, Target
-
-
-@dataclass(frozen=True)
-class Chi2VarianceEstimate:
-    """Chi-squared variance loss plus heavy-tail diagnostics.
-
-    max_ratio is the running maximum of the posterior/q density ratio over
-    the sample stream; a drifting maximum is the usual signature of an
-    infinite second moment. second_moment_finite reports the analytic
-    integrability condition when the target allows checking it.
-    """
-
-    value: float
-    max_ratio: float
-    second_moment_finite: bool
+from .targets import GaussianTarget, Target
 
 
 def log_variance_loss(f: np.ndarray) -> float:
@@ -47,58 +27,6 @@ def log_variance_loss(f: np.ndarray) -> float:
     if f.shape[0] < 2:
         raise ValueError("log-variance loss needs S >= 2")
     return 0.5 * float(np.var(f, ddof=1))
-
-
-def moment_loss(f: np.ndarray, log_evidence: float = 0.0) -> float:
-    """Half the mean square of f measured against the normalised posterior.
-
-    f + log p(x) equals log q - log p(z|x), so a target with declared
-    evidence passes it here; the default 0 evaluates against log p(x, z)
-    as-is. Unlike the log-variance loss this value moves when the evidence
-    constant moves.
-    """
-    return 0.5 * float(np.mean((f + log_evidence) ** 2))
-
-
-def chi2_variance_loss(
-    params: Params,
-    target: GaussianTarget | DiscreteToyModel,
-    rng: np.random.Generator,
-    S: int,
-) -> Chi2VarianceEstimate:
-    """Half the empirical variance of the ratio p(z|x)/q(z) under q.
-
-    Needs a normalisable posterior, so only the Gaussian and discrete targets
-    qualify. For diagonal Gaussians the population value is finite iff
-    2/post_var - 1/q_var > 0 in every coordinate; the report carries that
-    check plus the running maximum of the observed ratios.
-    """
-    if S < 2:
-        raise ValueError("chi-squared variance loss needs S >= 2")
-    if isinstance(target, GaussianTarget):
-        log_ev = target.log_evidence
-        finite = bool(np.all(2.0 / target.post_var - 1.0 / _q_var(params) > 0.0))
-    elif isinstance(target, DiscreteToyModel):
-        log_ev = target.log_evidence
-        finite = True  # bounded support, every moment exists
-    else:
-        raise ValueError(
-            f"{type(target).__name__} has no normalised posterior in closed form"
-        )
-    _, f = draw_f(params, target, rng, S)
-    ratios = np.exp(-f - log_ev)
-    value = 0.5 * float(np.var(ratios, ddof=1))
-    return Chi2VarianceEstimate(
-        value=value,
-        max_ratio=float(np.max(ratios)),
-        second_moment_finite=finite,
-    )
-
-
-def _q_var(params: Params) -> np.ndarray:
-    if not isinstance(params, DiagGaussianParams):
-        raise ValueError("the tail condition is defined for Gaussian q only")
-    return params.var
 
 
 def kl_gaussian_closed_form(q_params: DiagGaussianParams, target: GaussianTarget) -> float:

@@ -1,6 +1,6 @@
-"""Plain SGD and Adam as pure state transitions.
+"""Plain SGD as a pure state transition.
 
-Both steps take a parameter vector and a gradient and return new arrays;
+A step takes a parameter vector and a gradient and returns a new array;
 nothing is mutated in place, so replaying a recorded gradient sequence
 reproduces a trajectory exactly. Non-finite gradients raise instead of
 being skipped, because a silently skipped step would corrupt any variance
@@ -9,7 +9,7 @@ study running on top of the trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,30 +20,17 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Hyperparameters plus the running Adam moments.
-
-    Moments stay None until the first adam_step; SGD never touches them.
-    Defaults beta1=0.9, beta2=0.999, eps=1e-8 are the standard Adam choices.
-    """
+    """The SGD learning rate."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    first_moment: np.ndarray | None = None
-    second_moment: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
 
 
-def _checked(params_vector, grad) -> tuple[np.ndarray, np.ndarray]:
+def sgd_step(state: OptimizerState, params_vector, grad) -> np.ndarray:
+    """One descent step: params - lr * grad."""
     p = np.asarray(params_vector, dtype=float)
     g = np.asarray(grad, dtype=float)
     if p.shape != g.shape:
@@ -54,31 +41,4 @@ def _checked(params_vector, grad) -> tuple[np.ndarray, np.ndarray]:
             f"{bad} non-finite gradient entries; max |finite| = "
             f"{np.max(np.abs(g[np.isfinite(g)])) if bad < g.size else 'n/a'}"
         )
-    return p, g
-
-
-def sgd_step(state: OptimizerState, params_vector, grad) -> np.ndarray:
-    """One descent step: params - lr * grad."""
-    p, g = _checked(params_vector, grad)
     return p - state.lr * g
-
-
-def adam_step(
-    state: OptimizerState, params_vector, grad
-) -> tuple[OptimizerState, np.ndarray]:
-    """Standard bias-corrected Adam update; returns (new state, new params).
-
-    On the first step with an elementwise-constant gradient c the update is
-    -lr * c / (|c| + eps), close to -lr * sign(c).
-    """
-    p, g = _checked(params_vector, grad)
-    m = state.first_moment if state.first_moment is not None else np.zeros_like(p)
-    v = state.second_moment if state.second_moment is not None else np.zeros_like(p)
-    t = state.step_count + 1
-    m = state.beta1 * m + (1.0 - state.beta1) * g
-    v = state.beta2 * v + (1.0 - state.beta2) * g**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = replace(state, step_count=t, first_moment=m, second_moment=v)
-    return new_state, new_params

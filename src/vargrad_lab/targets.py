@@ -11,7 +11,6 @@ oracle substrate for the unbiasedness checks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,17 +60,13 @@ class LogRegModel:
 
     The latent is z = (w_1..w_D, b), dimension D + 1. Priors are zero-mean
     isotropic Gaussians with variances prior_w_var (weights) and prior_b_var
-    (bias). gen_w and gen_b record the weights that generated a synthetic
-    dataset; they are diagnostics only and nothing in the inference path
-    reads them.
+    (bias).
     """
 
     X: np.ndarray
     y: np.ndarray
     prior_w_var: float = 25.0
     prior_b_var: float = 1.0
-    gen_w: np.ndarray | None = None
-    gen_b: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
@@ -220,7 +215,7 @@ def synth_logreg_dataset(rng: np.random.Generator, N: int = 100, D: int = 10) ->
     b = float(rng.normal(0.0, 1.0))
     p = expit(X @ w + b)
     y = (rng.random(N) < p).astype(float)
-    return LogRegModel(X=X, y=y, gen_w=w, gen_b=b)
+    return LogRegModel(X=X, y=y)
 
 
 def exact_kl_and_gradient(
@@ -243,27 +238,3 @@ def exact_kl_and_gradient(
     kl = float(np.dot(q, r))
     grad = (q * r) @ (states - params.probs)
     return kl, grad
-
-
-def logreg_dataset_to_csv(model: LogRegModel, path) -> None:
-    """Write the dataset as CSV: x_0..x_{D-1} columns, then y. 17 significant
-    digits so floats round-trip bit-exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x_{j}" for j in range(model.n_features)] + ["y"])
-        for i in range(model.n_data):
-            row = [f"{v:.17g}" for v in model.X[i]] + [f"{model.y[i]:.17g}"]
-            writer.writerow(row)
-
-
-def logreg_dataset_from_csv(path, prior_w_var: float = 25.0, prior_b_var: float = 1.0) -> LogRegModel:
-    """Read a dataset written by logreg_dataset_to_csv. Priors are not stored
-    in the file; pass them explicitly if they differ from the defaults."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "y":
-            raise ValueError("expected x_* columns followed by a final y column")
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows, dtype=float)
-    return LogRegModel(X=data[:, :-1], y=data[:, -1], prior_w_var=prior_w_var, prior_b_var=prior_b_var)

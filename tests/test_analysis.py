@@ -17,7 +17,6 @@ from vargrad_lab.analysis import (
     paired_difference_from_estimates,
     replicate_estimates,
     report_from_estimates,
-    variance_ordering_check,
 )
 from vargrad_lab.estimators import (
     CV_TAG,
@@ -42,6 +41,9 @@ from vargrad_lab.gaussian_oracles import (
     delta_cv_analytic,
     optimal_a_analytic,
 )
+from vargrad_lab.harness.config import parse_config
+from vargrad_lab.harness.csvio import read_csv
+from vargrad_lab.harness.experiments import RUNNERS
 from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
 from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, log_joint
 
@@ -260,13 +262,13 @@ def test_delta_cv_mc_constant_loss_is_zero():
 
 def test_delta_cv_mc_matches_analytic():
     q, t = pair(3.0, 3.0, 1.0, 1.0)
-    rep = delta_cv_mc(q, t, np.random.default_rng(110), 1_000_000)
+    n = 1_000_000
+    rep = delta_cv_mc(q, t, np.random.default_rng(110), n)
     want = delta_cv_analytic(q, t)
-    assert rep.n_samples == 1_000_000
     assert np.all(np.abs(rep.delta_cv - want) < 4.0 * rep.delta_se)
     # and the a-star identity: E[f] + delta lands on the analytic optimum
     a_star = optimal_a_analytic(q, t)
-    se_f = math.sqrt(14.0 / rep.n_samples)  # Var(f) = 14 from quadrature
+    se_f = math.sqrt(14.0 / n)  # Var(f) = 14 from quadrature
     slack = 4.0 * (rep.delta_se + se_f)
     assert np.all(np.abs(rep.a_vargrad_expectation + rep.delta_cv - a_star) < slack)
 
@@ -405,57 +407,47 @@ def test_bound_dominates_measured_ratio():
 
 
 # -------------------------------------------------------- variance ordering
+#
+# The large-S sufficient condition delta / ELBO < 1/2 and the measured
+# ordering at the same S are the condition_value, condition_met and diff
+# columns of a variance-sweep row.
 
 
-def test_ordering_outside_interval_prefers_leave_one_out():
-    q, t = pair(2.0, 2.0, 0.0, 1.0)
-    rep = variance_ordering_check(q, t, np.random.default_rng(114), 1000, 4000)
-    assert np.all(rep.condition_met)
-    assert np.all(rep.diff > 4.0 * rep.diff_se)  # reinforce strictly worse
-
-
-def test_ordering_inside_interval_prefers_reinforce():
-    q, t = pair(1.0, 0.5, 0.0, 1.0)
-    rep = variance_ordering_check(q, t, np.random.default_rng(115), 1000, 20_000)
-    assert not np.any(rep.condition_met)
-    assert np.all(rep.diff < -4.0 * rep.diff_se)
-
-
-def test_ordering_trivial_at_posterior():
-    q, t = pair(0.6, 1.2, 0.6, 1.2)
-    rep = variance_ordering_check(q, t, np.random.default_rng(116), 16, 100)
-    assert np.all(rep.condition_met)
-    np.testing.assert_allclose(rep.condition_value, 0.0, atol=1e-12)
-    assert np.all(rep.var_vargrad < 1e-15)
-
-
-def test_ordering_discrete_condition_by_enumeration():
-    model = DiscreteToyModel.from_posterior(np.array([0.2, 0.8]))
-    q = MeanFieldBernoulliParams(logits=np.array([0.0]))
-    rep = variance_ordering_check(q, model, np.random.default_rng(117), 8, 200)
-    # hand enumeration of delta and ELBO
-    f = np.array(
-        [
-            math.log(0.5) - math.log(0.2),
-            math.log(0.5) - math.log(0.8),
-        ]
+def sweep_row(tmp_path, mu, sigma2, mu_tilde, sigma2_tilde, S, R, seed):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(
+        f"""
+        experiment = variance-sweep
+        seed = {seed}
+        out = {tmp_path / 'sweep.csv'}
+        sweep.grid_points = [[{mu}, {mu_tilde}, {sigma2}, {sigma2_tilde}, {S}]]
+        sweep.replicates = {R}
+        """,
+        encoding="utf-8",
     )
-    probs = np.array([0.5, 0.5])
-    sc = np.array([-0.5, 0.5])
-    e_f = probs @ f
-    e_s2 = probs @ sc**2
-    delta = ((probs * f) @ sc**2 - e_f * e_s2) / e_s2
-    want = delta / (-e_f)
-    assert rep.condition_value[0] == pytest.approx(want, rel=1e-12)
+    cfg = parse_config(cfg_path)
+    _, _, rows = read_csv(RUNNERS[cfg.experiment](cfg))
+    (row,) = rows
+    return row
 
 
-def test_ordering_rejects_unsupported_targets():
-    from vargrad_lab.targets import synth_logreg_dataset
+def test_ordering_outside_interval_prefers_leave_one_out(tmp_path):
+    row = sweep_row(tmp_path, 2.0, 2.0, 0.0, 1.0, S=1000, R=4000, seed=114)
+    assert row["condition_met"] == 1
+    assert row["diff"] > 4.0 * row["diff_se"]  # reinforce strictly worse
 
-    model = synth_logreg_dataset(np.random.default_rng(118), N=8, D=2)
-    q = gauss(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        variance_ordering_check(q, model, np.random.default_rng(0), 4, 10)
+
+def test_ordering_inside_interval_prefers_reinforce(tmp_path):
+    row = sweep_row(tmp_path, 1.0, 0.5, 0.0, 1.0, S=1000, R=20_000, seed=115)
+    assert row["condition_met"] == 0
+    assert row["diff"] < -4.0 * row["diff_se"]
+
+
+def test_ordering_trivial_at_posterior(tmp_path):
+    row = sweep_row(tmp_path, 0.6, 1.2, 0.6, 1.2, S=16, R=100, seed=116)
+    assert row["condition_met"] == 1
+    assert row["condition_value"] == 0.0
+    assert row["var_vargrad"] < 1e-15
 
 
 # ------------------------------------------------- covariance and kurtosis MC

@@ -172,16 +172,37 @@ def test_list_entries_below_minimum_are_config_errors(tmp_path, experiment, key,
     assert not out.exists()
 
 
-def test_overflow_during_a_run_is_a_numerical_abort(tmp_path):
-    # sigma2 = 1e-300 passes validation, then squaring the closed form's
-    # 1/sigma2 coefficient overflows Python float arithmetic
-    cfg = write_cfg(
-        tmp_path,
-        "experiment = variance-sweep\nseed = 1\n"
-        "sweep.grid_points = [[1, 2, 1e-300, 1, 2]]\nsweep.replicates = 50\n",
-    )
+def assert_numerical_abort(tmp_path, experiment, body):
+    cfg = write_cfg(tmp_path, f"experiment = {experiment}\nseed = 1\n{body}\n")
     out = tmp_path / "x.csv"
-    proc = run_module(["variance-sweep", "--config", str(cfg), "--out", str(out)])
+    proc = run_module([experiment, "--config", str(cfg), "--out", str(out)])
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("numerical abort:")
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, body",
+    [
+        # sigma2 = 1e-300 passes validation, then squaring the closed form's
+        # 1/sigma2 coefficient overflows Python float arithmetic
+        ("variance-sweep", "sweep.grid_points = [[1, 2, 1e-300, 1, 2]]\nsweep.replicates = 50"),
+        # at sigma2 = 1e300 the jackknife's squared estimates overflow numpy
+        ("variance-sweep", "sweep.grid_points = [[1, 2, 1e300, 1, 2]]\nsweep.replicates = 50"),
+        ("delta-ratio", "delta.sigma2 = 1e300\ndelta.dims = [1]"),
+    ],
+    ids=["sweep-sigma2-1e-300", "sweep-sigma2-1e300", "delta-ratio-sigma2-1e300"],
+)
+def test_overflow_during_a_run_is_a_numerical_abort(tmp_path, experiment, body):
+    assert_numerical_abort(tmp_path, experiment, body)
+
+
+def test_undefined_sweep_condition_is_a_numerical_abort(tmp_path):
+    # sigma2 = 1 + 1e-8 against sigma2_tilde = 1: delta = 1e-8, but the
+    # closed-form KL rounds to exactly 0, so delta / ELBO has no value
+    assert_numerical_abort(
+        tmp_path,
+        "variance-sweep",
+        "sweep.grid_points = [[0, 0, 1.00000001, 1, 2]]\nsweep.replicates = 50",
+    )

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
     Gaussian1DSetting,
     cov_f_score2_analytic,
+    delta_cv_analytic,
     delta_var_analytic,
     optimal_a_analytic,
 )
@@ -16,6 +18,7 @@ from vargrad_lab.harness.config import ConfigError, parse_config
 from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.harness.experiments import RUNNERS
 from vargrad_lab.losses import kl_gaussian_closed_form
+from vargrad_lab.targets import GaussianTarget
 
 
 def run(tmp_path, text, name="run.cfg"):
@@ -25,6 +28,13 @@ def run(tmp_path, text, name="run.cfg"):
     out = RUNNERS[cfg.experiment](cfg)
     assert out == cfg.out
     return read_csv(out)
+
+
+def gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde):
+    """The 1-D (q, posterior) pair a sweep or oracle row describes."""
+    q = DiagGaussianParams(mean=np.array([mu]), log_std=np.array([0.5 * math.log(sigma2)]))
+    t = GaussianTarget(post_mean=np.array([mu_tilde]), post_var=np.array([float(sigma2_tilde)]))
+    return q, t
 
 
 # ------------------------------------------------------------- unbiasedness
@@ -115,21 +125,22 @@ def test_unbiasedness_config_errors(tmp_path):
 
 
 def test_variance_sweep_reduced_grid(tmp_path):
-    metadata, _, rows = run(
+    metadata, header, rows = run(
         tmp_path,
         f"""
         experiment = variance-sweep
         seed = 21
         out = {tmp_path / 'sweep.csv'}
-        sweep.grid_points = [[1, 2, 1, 1, 9], [1, 0, 0.5, 1, 1000], [3, 1, 3, 1, 4]]
+        sweep.grid_points = [[1, 2, 1, 1, 9], [1, 0, 0.5, 1, 1000], [3, 1, 3, 1, 4], [0, 0, 1, 1, 16]]
         sweep.replicates = 20000
         """,
     )
     assert metadata["coordinate"] == "mean_0"
-    assert len(rows) == 3
+    assert header[-2:] == ["condition_value", "condition_met"]
+    assert len(rows) == 4
     by_s = {r["S"]: r for r in rows}
 
-    # every analytic cell reproduces the closed form bit-for-bit
+    # every analytic cell reproduces the closed forms bit-for-bit
     for r in rows:
         setting = Gaussian1DSetting(
             mu=r["mu"],
@@ -139,11 +150,24 @@ def test_variance_sweep_reduced_grid(tmp_path):
             S=r["S"],
         )
         assert r["analytic"] == delta_var_analytic(setting)
-        assert abs(r["diff"] - r["analytic"]) < 4.0 * r["diff_se"]
+        q, t = gaussian_pair(r["mu"], r["sigma2"], r["mu_tilde"], r["sigma2_tilde"])
+        delta = delta_cv_analytic(q, t)[0]
+        want = delta / -kl_gaussian_closed_form(q, t) if delta != 0.0 else 0.0
+        assert r["condition_value"] == want
+        assert r["condition_met"] == (want < 0.5)
 
     assert by_s[9]["analytic"] == 0
+    for S in (9, 1000, 4):
+        assert abs(by_s[S]["diff"] - by_s[S]["analytic"]) < 4.0 * by_s[S]["diff_se"]
+    # the large-S condition delta / ELBO < 1/2 fails where Reinforce wins ...
     assert by_s[1000]["analytic"] < 0 and by_s[1000]["diff"] < 0
-    assert by_s[4]["diff"] > 0
+    assert by_s[1000]["condition_met"] == 0
+    # ... holds where the leave-one-out estimator wins ...
+    assert by_s[4]["diff"] > 0 and by_s[4]["condition_met"] == 1
+    # ... and holds trivially at q = posterior, where delta = 0 and the
+    # leave-one-out estimator has no variance at all
+    assert by_s[16]["condition_value"] == 0 and by_s[16]["condition_met"] == 1
+    assert by_s[16]["var_vargrad"] < 1e-15
 
 
 # -------------------------------------------------------------- delta ratio
@@ -219,18 +243,8 @@ def test_gaussian_oracles_table(tmp_path):
     for conv in ("mean", "variance", "log_variance"):
         assert f"cov_{conv}" in header
 
-    from vargrad_lab.families import DiagGaussianParams
-    from vargrad_lab.targets import GaussianTarget
-
     for r in rows:
-        q = DiagGaussianParams(
-            mean=np.array([r["mu"]]),
-            log_std=np.array([0.5 * math.log(r["sigma2"])]),
-        )
-        t = GaussianTarget(
-            post_mean=np.array([r["mu_tilde"]]),
-            post_var=np.array([float(r["sigma2_tilde"])]),
-        )
+        q, t = gaussian_pair(r["mu"], r["sigma2"], r["mu_tilde"], r["sigma2_tilde"])
         assert r["kl"] == kl_gaussian_closed_form(q, t)
         assert r["a_opt_mean"] == optimal_a_analytic(q, t)[0]
         for conv in ("mean", "variance", "log_variance"):
@@ -283,8 +297,6 @@ def test_cv_comparison_oracle_vs_leave_one_out(tmp_path):
     )
 
     import vargrad_lab.losses as losses
-    from vargrad_lab.families import DiagGaussianParams
-    from vargrad_lab.targets import GaussianTarget
 
     q = DiagGaussianParams(
         mean=np.full(3, 3.0), log_std=np.full(3, 0.5 * math.log(3.0))

@@ -1,4 +1,4 @@
-"""Divergence losses, closed-form KL, and importance-sampled diagnostics."""
+"""The log-variance loss, closed-form KL, and importance-sampled diagnostics."""
 
 import math
 
@@ -8,14 +8,12 @@ import pytest
 from vargrad_lab.estimators import build_batch
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.losses import (
-    chi2_variance_loss,
     evidence_and_elbo,
     kl_gaussian_closed_form,
     kl_gaussian_gradient,
     log_variance_loss,
-    moment_loss,
 )
-from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, synth_logreg_dataset
+from vargrad_lab.targets import GaussianTarget
 from vargrad_lab.harness.rng import split_stream
 
 from oracles import (
@@ -87,103 +85,6 @@ def test_log_variance_loss_population_value():
     # CLT for the variance estimate: SE^2 = (m4 - m2^2) / n
     se_half_var = 0.5 * math.sqrt((np.mean(x**4) - var_hat**2) / f.size)
     assert abs(log_variance_loss(f) - 0.5) < 3.0 * se_half_var
-
-
-# ------------------------------------------------------------------- moment
-
-
-def test_moment_loss_hand_value_and_shift_identity():
-    f = np.array([1.0, 2.0, 4.0])
-    assert moment_loss(f) == pytest.approx(21.0 / 6.0, rel=1e-15)
-    c = 1.0
-    got = moment_loss(f, log_evidence=c) - moment_loss(f)
-    assert got == pytest.approx(f.mean() * c + 0.5 * c**2, abs=1e-10)
-
-
-def test_moment_loss_dominates_scaled_log_variance():
-    rng = np.random.default_rng(84)
-    for _ in range(100):
-        f = rng.normal(size=rng.integers(2, 9)) * 3.0 + rng.normal()
-        lhs = moment_loss(f, log_evidence=float(rng.normal()))
-        rhs = (f.size - 1) / f.size * log_variance_loss(f)
-        assert lhs >= rhs - 1e-12
-
-
-def test_moment_loss_zero_at_normalised_posterior():
-    q = gauss([2.0], [0.1])
-    t = GaussianTarget(post_mean=np.array([2.0]), post_var=np.array([math.exp(0.2)]))
-    assert moment_loss(draw_f_values(q, t, 85, 128)) == pytest.approx(0.0, abs=1e-12)
-
-
-# ----------------------------------------------------------- chi^2 variance
-
-
-def test_chi2_loss_zero_at_posterior():
-    q = gauss([0.4], [0.0])
-    t = GaussianTarget(post_mean=np.array([0.4]), post_var=np.array([1.0]))
-    est = chi2_variance_loss(q, t, np.random.default_rng(86), 512)
-    assert est.value == pytest.approx(0.0, abs=1e-12)
-    assert est.second_moment_finite
-    assert est.max_ratio == pytest.approx(1.0, rel=1e-10)
-
-
-def test_chi2_loss_matches_population_value():
-    # q = N(0,1), posterior N(0, 0.8): population loss 0.5 (sqrt(s_c)/s~ - 1)
-    q = gauss([0.0], [0.0])
-    t = GaussianTarget(post_mean=np.array([0.0]), post_var=np.array([0.8]))
-    pop = chi2_half_variance_ref(0.0, 0.0, 1.0, 0.8)
-    assert pop == pytest.approx(0.010310363079828688, abs=1e-15)
-
-    reps = np.array(
-        [
-            chi2_variance_loss(q, t, split_stream(90, "chi2-rep", r), 5000).value
-            for r in range(40)
-        ]
-    )
-    se = reps.std(ddof=1) / math.sqrt(reps.size)
-    assert abs(reps.mean() - pop) < 4.0 * se
-
-
-def test_chi2_loss_flags_infinite_second_moment():
-    # proposal much narrower than the posterior: 2/post_var - 1/q_var <= 0
-    q = gauss([0.0], [0.0])
-    t = GaussianTarget(post_mean=np.array([0.0]), post_var=np.array([2.0]))
-    est = chi2_variance_loss(q, t, np.random.default_rng(87), 1000)
-    assert not est.second_moment_finite
-    assert np.isfinite(est.value)
-    assert est.max_ratio > 1.0
-
-
-def test_chi2_loss_discrete_target():
-    model = DiscreteToyModel.from_posterior(np.array([0.1, 0.3, 0.15, 0.45]))
-    from vargrad_lab.families import MeanFieldBernoulliParams
-
-    q = MeanFieldBernoulliParams(logits=np.array([0.4, -0.7]))
-    pop = 0.22530626475567184  # 0.5 (sum post^2 / q - 1), enumerated offline
-    reps = np.array(
-        [
-            chi2_variance_loss(q, model, split_stream(91, "chi2-disc", r), 5000).value
-            for r in range(40)
-        ]
-    )
-    se = reps.std(ddof=1) / math.sqrt(reps.size)
-    est = chi2_variance_loss(q, model, np.random.default_rng(88), 100)
-    assert est.second_moment_finite
-    assert abs(reps.mean() - pop) < 4.0 * se
-
-
-def test_chi2_loss_rejects_logreg():
-    model = synth_logreg_dataset(np.random.default_rng(89), N=10, D=2)
-    q = gauss(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        chi2_variance_loss(q, model, np.random.default_rng(0), 100)
-
-
-def test_chi2_loss_needs_two_samples():
-    q = gauss([0.0], [0.0])
-    t = GaussianTarget(post_mean=np.array([0.0]), post_var=np.array([1.0]))
-    with pytest.raises(ValueError):
-        chi2_variance_loss(q, t, np.random.default_rng(0), 1)
 
 
 # ------------------------------------------------------------ closed-form KL

@@ -1,4 +1,4 @@
-"""Parameter-vector optimizers: exact step formulas and convergence."""
+"""SGD on parameter vectors: the step formula, validation and convergence."""
 
 import math
 
@@ -7,12 +7,7 @@ import pytest
 
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
-from vargrad_lab.optim import (
-    NonFiniteGradientError,
-    OptimizerState,
-    adam_step,
-    sgd_step,
-)
+from vargrad_lab.optim import NonFiniteGradientError, OptimizerState, sgd_step
 from vargrad_lab.targets import GaussianTarget
 
 
@@ -58,54 +53,12 @@ def test_sgd_descends_quadratic_monotonically():
     assert kls[-1] < 0.01 * kls[0]
 
 
-# ----------------------------------------------------------------- adam
-
-
-def test_adam_first_step_is_signwise():
-    state = OptimizerState(lr=0.1, eps=1e-8)
-    x = np.zeros(2)
-    g = np.array([3.0, -2.0])
-    new_state, new_x = adam_step(state, x, g)
-    # bias correction cancels on step one: update = -lr g / (|g| + eps)
-    want = -0.1 * g / (np.abs(g) + 1e-8)
-    np.testing.assert_allclose(new_x, want, rtol=1e-12)
-    assert new_state.step_count == 1
-
-
-def test_adam_zero_gradient_never_moves():
-    state = OptimizerState(lr=0.1)
-    x = np.array([1.5, -0.5])
-    for _ in range(5):
-        state, x = adam_step(state, x, np.zeros(2))
-    np.testing.assert_array_equal(x, [1.5, -0.5])
-
-
-def test_adam_reaches_optimum_on_quadratic():
-    state = OptimizerState(lr=0.01)
-    x = X0.copy()
-    for _ in range(2000):
-        state, x = adam_step(state, x, grad_of(x))
-    assert kl_of(x) < 1e-3
-
-
 def test_sgd_reaches_optimum_on_quadratic():
     state = OptimizerState(lr=0.05)
     x = X0.copy()
     for _ in range(2000):
         x = sgd_step(state, x, grad_of(x))
     assert kl_of(x) < 1e-3
-
-
-def test_adam_trajectory_replays_exactly():
-    grads = np.random.default_rng(130).normal(size=(50, 3))
-
-    def run():
-        state, x = OptimizerState(lr=0.02), np.ones(3)
-        for g in grads:
-            state, x = adam_step(state, x, g)
-        return x
-
-    np.testing.assert_array_equal(run(), run())
 
 
 # ----------------------------------------------------------- validation
@@ -117,26 +70,20 @@ def test_non_finite_gradients_abort():
         sgd_step(state, np.zeros(2), np.array([np.nan, 1.0]))
     assert "non-finite" in str(err.value)
     with pytest.raises(NonFiniteGradientError):
-        adam_step(state, np.zeros(2), np.array([np.inf, 1.0]))
+        sgd_step(state, np.zeros(2), np.array([np.inf, 1.0]))
 
 
 def test_shape_mismatch_rejected():
     state = OptimizerState(lr=0.1)
     with pytest.raises(ValueError):
         sgd_step(state, np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        adam_step(state, np.zeros(2), np.zeros(3))
 
 
 def test_optimizer_state_validation():
     with pytest.raises(ValueError):
         OptimizerState(lr=0.0)
     with pytest.raises(ValueError):
-        OptimizerState(lr=0.1, beta1=1.0)
-    with pytest.raises(ValueError):
-        OptimizerState(lr=0.1, beta2=-0.1)
-    with pytest.raises(ValueError):
-        OptimizerState(lr=0.1, eps=0.0)
+        OptimizerState(lr=-0.1)
 
 
 def test_non_finite_error_is_runtime_error():

@@ -13,8 +13,6 @@ from vargrad_lab.targets import (
     LogRegModel,
     exact_kl_and_gradient,
     log_joint,
-    logreg_dataset_from_csv,
-    logreg_dataset_to_csv,
     synth_logreg_dataset,
 )
 
@@ -153,18 +151,33 @@ def test_synth_dataset_shapes_and_determinism():
     assert m.X.shape == (50, 3) and m.y.shape == (50,)
     assert np.all(np.abs(m.X) <= 1.0)
     assert set(np.unique(m.y)) <= {0.0, 1.0}
-    assert m.gen_w.shape == (3,) and np.isscalar(float(m.gen_b))
 
     again = synth_logreg_dataset(np.random.default_rng(17), N=50, D=3)
     np.testing.assert_array_equal(m.X, again.X)
     np.testing.assert_array_equal(m.y, again.y)
-    np.testing.assert_array_equal(m.gen_w, again.gen_w)
+
+
+def redraw_generator(seed, N, D):
+    """X, w and b of synth_logreg_dataset(default_rng(seed), N, D), redrawn in
+    its documented order (X, then w ~ N(0, 25 Id), then b ~ N(0, 1)), and the
+    generator positioned to draw the labels."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(N, D))
+    w = rng.normal(0.0, 5.0, size=D)
+    return X, w, float(rng.normal(0.0, 1.0)), rng
+
+
+def test_synth_dataset_follows_documented_draw_order():
+    m = synth_logreg_dataset(np.random.default_rng(19), N=30, D=2)
+    X, w, b, rng = redraw_generator(19, 30, 2)
+    np.testing.assert_array_equal(m.X, X)
+    np.testing.assert_array_equal(m.y, (rng.random(30) < expit(X @ w + b)).astype(float))
 
 
 def test_synth_dataset_labels_follow_generator():
-    rng = np.random.default_rng(23)
-    m = synth_logreg_dataset(rng, N=2000, D=4)
-    eta = m.X @ m.gen_w + m.gen_b
+    m = synth_logreg_dataset(np.random.default_rng(23), N=2000, D=4)
+    _, w, b, _ = redraw_generator(23, 2000, 4)
+    eta = m.X @ w + b
     rate_pos = m.y[eta > 0].mean()
     rate_neg = m.y[eta < 0].mean()
     assert rate_pos > rate_neg
@@ -175,19 +188,9 @@ def test_strong_one_dim_generator_separates_labels():
     rng = np.random.default_rng(29)
     x = rng.uniform(-1.0, 1.0, size=(1500, 1))
     y = (rng.random(1500) < expit(10.0 * x[:, 0])).astype(float)
-    m = LogRegModel(X=x, y=y, gen_w=np.array([10.0]), gen_b=0.0)
+    m = LogRegModel(X=x, y=y)
     agree = (m.y == (m.X[:, 0] > 0)).mean()
     assert agree > 0.85
-
-
-def test_logreg_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    m = synth_logreg_dataset(rng, N=20, D=2)
-    path = tmp_path / "data.csv"
-    logreg_dataset_to_csv(m, path)
-    back = logreg_dataset_from_csv(path)
-    np.testing.assert_array_equal(back.X, m.X)
-    np.testing.assert_array_equal(back.y, m.y)
 
 
 # ------------------------------------------------------------- discrete
