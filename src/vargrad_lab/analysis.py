@@ -40,9 +40,16 @@ from .targets import GaussianTarget, Target, log_joint  # noqa: F401
 
 CV_SAMPLED_TAG = "cv_sampled"
 
-# Upper limit on latent draws materialised at once inside replicate loops;
-# keeps peak memory flat for large S * R products.
-_CHUNK_SAMPLE_CAP = 1 << 21
+# At most this many latent draws (rows * S) are materialised at once in
+# replicate_estimates. The size is set for speed, not memory: at 2^15 a
+# chunk's z, f and score arrays (256-512 KB each at D = 1) stay in cache and
+# malloc reuses them from chunk to chunk, while from 2^16 up they go back to
+# the OS and are page-faulted in afresh for every chunk, which costs more
+# than the arithmetic. cv_sampled draws depend on this value, because each
+# chunk draws its extra blocks after its shared block; 2^15 is the smallest
+# power of two that keeps the default cv-comparison and train-logreg
+# replicate runs in one chunk.
+_CHUNK_SAMPLE_CAP = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -148,10 +155,15 @@ def replicate_estimates(
     """R independent gradient estimates for each spec, on shared draws.
 
     Returns an (R, P) array per spec name. All specs see the same R batches
-    of S samples; cv_sampled specs additionally consume an independent
-    (R, s_extra) block each, drawn after the shared block of every chunk in
-    spec order, so the stream layout is deterministic. Each chunk is reduced
-    to its batch sums once, and every spec is a combine of those sums.
+    of S samples, drawn in chunks of whole replicates of at most
+    _CHUNK_SAMPLE_CAP draws (at least one replicate per chunk), a size set
+    for cache residency and buffer reuse. Without cv_sampled specs the
+    chunks are invisible: the draws are one sequential stream. cv_sampled
+    specs additionally consume an independent (rows, s_extra) block each,
+    drawn after the shared block of every chunk in spec order, so the stream
+    layout is deterministic but, once R * S exceeds the cap, depends on it
+    for every spec of the run. Each chunk is reduced to its batch sums once,
+    and every spec is a combine of those sums.
     """
     if S < 1:
         raise ValueError("S must be >= 1")

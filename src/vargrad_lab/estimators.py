@@ -56,6 +56,19 @@ class BatchSums(NamedTuple):
     S: int
 
 
+def _sum_over_samples(scores: np.ndarray) -> np.ndarray:
+    """sum_s score_s over the s axis of (..., S, P) scores.
+
+    For P > 1 einsum adds the rows left to right over s, as the strided
+    scores.sum(axis=-2) does, with the same bits and several times faster.
+    At P = 1 the s axis is contiguous: sum is fast there, and einsum's
+    vectorised order would differ from its pairwise one in the last bits.
+    """
+    if scores.shape[-1] == 1:
+        return scores.sum(axis=-2)
+    return np.einsum("...sp->...p", scores)
+
+
 def batch_sums(f: np.ndarray, scores: np.ndarray) -> BatchSums:
     """Reduce f (..., S) and scores (..., S, P) over the sample axis."""
     if f.shape[-1] != scores.shape[-2]:  # einsum would broadcast an S of 1
@@ -63,7 +76,7 @@ def batch_sums(f: np.ndarray, scores: np.ndarray) -> BatchSums:
     return BatchSums(
         f_dot_score=np.einsum("...s,...sp->...p", f, scores),
         f_sum=f.sum(axis=-1, keepdims=True),
-        score_sum=scores.sum(axis=-2),
+        score_sum=_sum_over_samples(scores),
         S=f.shape[-1],
     )
 

@@ -79,7 +79,7 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "logreg.train_s": FieldSpec("int", 4, minimum=2),
         "optimizer.learning_rate": FieldSpec("float", 0.001, minimum=1e-12),
         "logging.every": FieldSpec("int", 10, minimum=1),
-        "diagnostics.n_delta": FieldSpec("int", 2000, minimum=2),
+        "diagnostics.n_delta": FieldSpec("int", 2000, minimum=3),  # delete-one jackknife SEs
         "diagnostics.n_is": FieldSpec("int", 10000, minimum=2),
         "diagnostics.n_elbo": FieldSpec("int", 2000, minimum=2),
         "diagnostics.variance_replicates": FieldSpec("int", 1000, minimum=3),
@@ -93,7 +93,7 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     },
     "delta-ratio": {
         "delta.dims": FieldSpec("list_int", [1, 3, 10, 30], minimum=1),
-        "delta.n_samples": FieldSpec("int", 2000, minimum=2),
+        "delta.n_samples": FieldSpec("int", 2000, minimum=3),  # delete-one jackknife SEs
         "delta.mu": FieldSpec("float", 3.0),
         "delta.sigma2": FieldSpec("float", 3.0, minimum=1e-12),
         "delta.mu_tilde": FieldSpec("float", 1.0),

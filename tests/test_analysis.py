@@ -102,6 +102,32 @@ def test_replicate_estimates_chunking_is_transparent():
         np.testing.assert_array_equal(big[name], small[name])
 
 
+@pytest.mark.parametrize(
+    "experiment, body, s_key, r_key",
+    [
+        ("cv-comparison", "", "cv.s_grid", "cv.replicates"),
+        (
+            "train-logreg",
+            "logreg.dims = 1",
+            "diagnostics.variance_s",
+            "diagnostics.variance_replicates",
+        ),
+    ],
+    ids=["cv-comparison", "train-logreg"],
+)
+def test_default_cv_sampled_runs_fit_one_chunk(tmp_path, experiment, body, s_key, r_key):
+    # cv_sampled draws its extra block after each chunk's shared block, so
+    # its draws depend on the chunk cap once R * S spans more than one
+    # chunk. The default configs' replicate runs must stay in one chunk;
+    # this is the floor on _CHUNK_SAMPLE_CAP.
+    path = tmp_path / "defaults.cfg"
+    path.write_text(f"experiment = {experiment}\nseed = 1\n{body}\n", encoding="utf-8")
+    cfg = parse_config(path)
+    S, R = cfg[s_key], cfg[r_key]
+    S = max(S) if isinstance(S, list) else S
+    assert analysis._CHUNK_SAMPLE_CAP // S >= R, (experiment, S, R)
+
+
 @pytest.mark.parametrize("cap", [None, 12])
 def test_replicate_estimates_stream_layout(monkeypatch, cap):
     # Every chunk draws its shared (rows, S) block first, then one

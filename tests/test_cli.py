@@ -163,7 +163,25 @@ def test_console_script(tmp_path):
     ],
 )
 def test_list_entries_below_minimum_are_config_errors(tmp_path, experiment, key, value):
-    cfg = write_cfg(tmp_path, f"experiment = {experiment}\nseed = 1\n{key} = {value}\n")
+    assert_config_error(tmp_path, experiment, f"{key} = {value}", key)
+
+
+@pytest.mark.parametrize(
+    "experiment, body, key",
+    [
+        ("delta-ratio", "delta.n_samples = 2", "delta.n_samples"),
+        ("train-logreg", "logreg.dims = 2\ndiagnostics.n_delta = 2", "diagnostics.n_delta"),
+    ],
+    ids=["delta-ratio", "train-logreg"],
+)
+def test_jackknife_sample_counts_below_three_are_config_errors(tmp_path, experiment, body, key):
+    # the delete-one jackknife divides by n - 2, so n = 2 would write NaN
+    # standard errors on rows that are flagged valid
+    assert_config_error(tmp_path, experiment, body, key)
+
+
+def assert_config_error(tmp_path, experiment, body, key):
+    cfg = write_cfg(tmp_path, f"experiment = {experiment}\nseed = 1\n{body}\n")
     out = tmp_path / "x.csv"
     proc = run_module([experiment, "--config", str(cfg), "--out", str(out)])
     assert proc.returncode == 2, proc.stderr

@@ -134,6 +134,29 @@ def test_estimators_reject_mismatched_sample_counts(estimator, S_f, S_scores):
         getattr(estimators, estimator)(*args)
 
 
+@pytest.mark.parametrize("S", [2, 9, 1000])
+def test_batch_sums_add_samples_left_to_right(S):
+    # The CSV bytes depend on the order of the sums over s. Pin it to a
+    # plain left-to-right accumulation, so a numpy whose einsum or sum
+    # reorders the additions fails here instead of moving the CSVs.
+    rng = np.random.default_rng(S)
+    R, P = 5, 2
+    f = rng.normal(size=(R, S)) * np.exp(rng.normal(scale=3.0, size=(R, S)))
+    scores = rng.normal(size=(R, S, P)) * np.exp(rng.normal(scale=3.0, size=(R, S, P)))
+    sums = estimators.batch_sums(f, scores)
+    score_sum, f_dot_score = np.zeros((R, P)), np.zeros((R, P))
+    for s in range(S):
+        score_sum = score_sum + scores[:, s, :]
+        f_dot_score = f_dot_score + f[:, s, None] * scores[:, s, :]
+    np.testing.assert_array_equal(sums.score_sum, score_sum)
+    np.testing.assert_array_equal(sums.f_dot_score, f_dot_score)
+    if S > 2:  # the data are order-sensitive, so the check has teeth
+        backward = np.zeros((R, P))
+        for s in reversed(range(S)):
+            backward = backward + scores[:, s, :]
+        assert not np.array_equal(backward, score_sum)
+
+
 # ------------------------------------------------------------------ identities
 
 
