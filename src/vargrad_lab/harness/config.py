@@ -2,19 +2,20 @@
 
 Config files are plain text with one `key = value` assignment per line,
 `#` comments, and dotted lowercase keys. Values are parsed as JSON where
-possible (numbers, booleans, lists) and fall back to bare strings, so
-`experiment = variance-sweep` and `sweep.replicates = 100000` both read
-naturally. Parsing is strict on purpose: unknown keys are rejected with a
-suggestion, duplicates and malformed lines error with their line number,
-and every value is type-checked against the schema of the experiment it
-belongs to. The aim is that a config file is a complete, auditable record
-of what a run did.
+possible (numbers, booleans, lists, `null` for an unset optional list) and
+fall back to bare strings, so `experiment = variance-sweep` and
+`sweep.replicates = 100000` both read naturally. Parsing is strict on
+purpose: unknown keys are rejected with a suggestion, duplicates, malformed
+lines and non-finite numbers error with their line number, and every value
+is type-checked against the schema of the experiment it belongs to. The aim
+is that a config file is a complete, auditable record of what a run did.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -39,7 +40,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    kind: str  # int | float | str | list_int | list_float | list_str | grid | probs
+    kind: str  # int | float | list_int | list_float | list_str | grid | probs
     default: Any = _REQUIRED
     minimum: float | None = None
 
@@ -152,10 +153,17 @@ class ExperimentConfig:
         return cfg
 
 
-def _parse_value(raw: str) -> Any:
+def _parse_value(raw: str, where: str) -> Any:
+    def finite(text: str) -> float:
+        # json.loads reads NaN, Infinity and -Infinity, and 1e999 as inf
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: numbers must be finite, got {text}")
+        return value
+
     raw = raw.strip()
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError:
         return raw  # bare string, e.g. an experiment name or a path
 
@@ -165,6 +173,8 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
         raise ConfigError(f"key '{key}': expected {expected}, got {value!r}")
 
     kind = spec.kind
+    if value is None and spec.default is None:
+        return None  # an optional list left unset
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             fail("an integer")
@@ -178,10 +188,6 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
         if spec.minimum is not None and v < spec.minimum:
             raise ConfigError(f"key '{key}': must be >= {spec.minimum}, got {v}")
         return v
-    if kind == "str":
-        if not isinstance(value, str):
-            fail("a string")
-        return value
     if kind == "list_int":
         if not isinstance(value, list) or not value or any(
             isinstance(v, bool) or not isinstance(v, int) for v in value
@@ -262,7 +268,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: bad key '{key}' (lowercase dotted names only)")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-        raw[key] = _parse_value(rest)
+        raw[key] = _parse_value(rest, f"{path}:{lineno}: key '{key}'")
 
     if "experiment" not in raw:
         raise ConfigError(f"{path}: missing required key 'experiment'")
@@ -282,16 +288,17 @@ def parse_config(path) -> ExperimentConfig:
 
     schema = _SCHEMAS[experiment]
     allowed = list(_COMMON_KEYS) + list(schema)
-    options: dict[str, Any] = {}
-    for key, value in raw.items():
+    for key in raw:
         if key not in schema:
             raise ConfigError(f"{path}: unknown key '{key}'{_suggest(key, allowed)}")
-        options[key] = _coerce(key, value, schema[key])
+    # options follow the schema, not the file, so the CSV metadata written
+    # from them depends only on the resolved values
+    options: dict[str, Any] = {}
     for key, spec in schema.items():
-        if key not in options:
-            if spec.default is _REQUIRED:
-                raise ConfigError(
-                    f"{path}: missing required key '{key}' for experiment '{experiment}'"
-                )
+        if key in raw:
+            options[key] = _coerce(key, raw[key], spec)
+        elif spec.default is _REQUIRED:
+            raise ConfigError(f"{path}: missing required key '{key}' for experiment '{experiment}'")
+        else:
             options[key] = spec.default
     return ExperimentConfig(experiment=experiment, seed=seed, out=out, options=options)

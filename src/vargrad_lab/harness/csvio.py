@@ -1,7 +1,8 @@
 """Deterministic CSV output for experiment runs.
 
-Files start with '#'-prefixed metadata lines (settings, seed, cadence),
-then a header row, then data rows. Floats are written with 17 significant
+Files start with '# key = value' metadata lines, written in the order
+given (the experiment runners pass the resolved config, then the values
+the run computed), then a header row, then data rows. Floats are written with 17 significant
 digits so a round trip through text reproduces the exact double, newlines
 are LF, and the encoding is UTF-8. Identical inputs must produce
 byte-identical files.

@@ -1,14 +1,17 @@
 """Experiment drivers behind the CLI subcommands.
 
 Each runner takes a resolved ExperimentConfig, derives every random stream
-from (seed, label, index) via split_stream, and writes one CSV whose
-metadata lines record the settings that produced it. Reruns with the same
-config and seed are byte-identical.
+from (seed, label, index) via split_stream, and writes one CSV through
+_write_run, whose metadata lines are the resolved config in config syntax
+followed by the few values the run computed. Reruns with the same config and
+seed are byte-identical.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from typing import Any
 
 import numpy as np
 
@@ -57,6 +60,18 @@ def _z_score(mean: float, exact: float, se: float) -> float:
     return math.inf
 
 
+def _write_run(cfg: ExperimentConfig, rows: list[dict], **computed: Any) -> str:
+    """Write rows to cfg.out under '#' lines: experiment, seed and every
+    resolved option in config syntax (values as JSON), so that with '# '
+    stripped those lines are a config that reproduces the file; then the
+    values the run computed."""
+    metadata = {"experiment": cfg.experiment, "seed": cfg.seed}
+    metadata.update((key, json.dumps(value)) for key, value in cfg.options.items())
+    metadata.update(computed)
+    write_csv(cfg.out, rows, metadata)
+    return cfg.out
+
+
 # Estimator names each subcommand accepts, in the order its error lists them,
 # and the estimator each name selects. "cv" and "cv_oracle" are the fixed-
 # coefficient control variate under each subcommand's name for its coefficient.
@@ -80,11 +95,14 @@ def _estimator_specs(
     variate uses a_fixed; cv_sampled estimates its coefficient from a batch
     the size of the estimate batch, S."""
     choices = _ESTIMATOR_CHOICES[cfg.experiment]
+    names = cfg[key]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"key '{key}': estimator names must be unique, got {names}")
     specs = []
-    for name in cfg[key]:
+    for name in names:
         if name not in choices:
             raise ConfigError(
-                f"unknown estimator {name!r} for {cfg.experiment}; "
+                f"key '{key}': unknown estimator {name!r} for {cfg.experiment}; "
                 f"choose from {', '.join(choices)}"
             )
         tag = _ESTIMATOR_TAGS[name]
@@ -108,11 +126,9 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
         if len(posterior) != 2**d:
             raise ConfigError(f"toy.posterior needs 2^dims = {2**d} entries, got {len(posterior)}")
         model = DiscreteToyModel.from_posterior(np.asarray(posterior, dtype=float))
-        table_source = "config"
     else:
         table_rng = split_stream(cfg.seed, "toy-table")
         model = DiscreteToyModel(log_joint_table=table_rng.normal(0.0, 1.0, size=2**d))
-        table_source = "seeded"
     logits = cfg["toy.logits"]
     if logits is None:
         logits = [0.0] * d
@@ -146,18 +162,7 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
                     "within_4se": abs(z) < 4.0,
                 }
             )
-    metadata = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "dims": d,
-        "s": S,
-        "replicates": R,
-        "table_source": table_source,
-        "exact_kl": kl,
-        "cv_coefficient": a_const,
-    }
-    write_csv(cfg.out, rows, metadata)
-    return cfg.out
+    return _write_run(cfg, rows, exact_kl=kl, cv_coefficient=a_const)
 
 
 def run_variance_sweep(cfg: ExperimentConfig) -> str:
@@ -201,15 +206,7 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
                 "condition_met": condition < 0.5,
             }
         )
-    metadata = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "replicates": R,
-        "grid_points": len(grid),
-        "coordinate": "mean_0",
-    }
-    write_csv(cfg.out, rows, metadata)
-    return cfg.out
+    return _write_run(cfg, rows, coordinate="mean_0")
 
 
 def run_delta_ratio(cfg: ExperimentConfig) -> str:
@@ -242,17 +239,7 @@ def run_delta_ratio(cfg: ExperimentConfig) -> str:
                     "valid": bool(report.valid[k]) and ratio_defined,
                 }
             )
-    metadata = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "n_samples": n,
-        "mu": mu,
-        "sigma2": sigma2,
-        "mu_tilde": mu_tilde,
-        "sigma2_tilde": sigma2_tilde,
-    }
-    write_csv(cfg.out, rows, metadata)
-    return cfg.out
+    return _write_run(cfg, rows)
 
 
 def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
@@ -291,14 +278,7 @@ def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
             row[f"cov_{convention}_mc"] = mc
             row[f"cov_{convention}_mc_se"] = se
         rows.append(row)
-    metadata = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "grid_points": len(grid),
-        "mc_draws": n_mc,
-    }
-    write_csv(cfg.out, rows, metadata)
-    return cfg.out
+    return _write_run(cfg, rows)
 
 
 def run_cv_comparison(cfg: ExperimentConfig) -> str:
@@ -340,17 +320,7 @@ def run_cv_comparison(cfg: ExperimentConfig) -> str:
                             "mean_se": float(report.mean_standard_errors[k]),
                         }
                     )
-    metadata = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "replicates": R,
-        "mu": mu,
-        "sigma2": sigma2,
-        "mu_tilde": mu_tilde,
-        "sigma2_tilde": sigma2_tilde,
-    }
-    write_csv(cfg.out, rows, metadata)
-    return cfg.out
+    return _write_run(cfg, rows)
 
 
 def run_train_logreg(cfg: ExperimentConfig) -> str:
@@ -430,25 +400,7 @@ def run_train_logreg(cfg: ExperimentConfig) -> str:
         if t % every == 0:
             log_step(t, params)
 
-    metadata = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "dims": d,
-        "n_data": cfg["logreg.n_data"],
-        "steps": steps,
-        "train_s": S_train,
-        "learning_rate": cfg["optimizer.learning_rate"],
-        "log_every": every,
-        "n_delta": n_delta,
-        "n_is": n_is,
-        "n_elbo": n_elbo,
-        "variance_replicates": var_R,
-        "variance_s": var_S,
-        "cv_extra_samples": cfg["diagnostics.cv_extra_samples"],
-        "cv_oracle_samples": cfg["diagnostics.cv_oracle_samples"],
-    }
-    write_csv(cfg.out, rows, metadata)
-    return cfg.out
+    return _write_run(cfg, rows)
 
 
 RUNNERS = {

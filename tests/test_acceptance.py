@@ -1,4 +1,5 @@
-"""Acceptance gate: ten product-level checks, one test per criterion.
+"""Acceptance gate: ten product-level checks, one test per criterion, and
+for c10 a second test that the CSV metadata reruns to the same bytes.
 
 Each test states its tolerance inline and is deterministic (fixed streams),
 so a pass here is reproducible. The heavyweight criteria also enforce their
@@ -33,6 +34,7 @@ from vargrad_lab.estimators import (
 from vargrad_lab.families import DiagGaussianParams, MeanFieldBernoulliParams
 from vargrad_lab.gaussian_oracles import cov_f_score2_analytic, optimal_a_analytic
 from vargrad_lab.harness import cli
+from vargrad_lab.harness.config import parse_config
 from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form
@@ -329,39 +331,60 @@ def test_c09_logreg_training_diagnostics(tmp_path):
     assert time.perf_counter() - t0 < 900.0
 
 
+# Reduced configs for every subcommand, without experiment and seed lines.
+C10_REDUCED = {
+    "unbiasedness": ["toy.dims = 2", "toy.s = 3", "toy.replicates = 500"],
+    "variance-sweep": [
+        "sweep.grid_points = [[1, 2, 1, 1, 4], [3, 1, 3, 1, 2]]",
+        "sweep.replicates = 400",
+    ],
+    "delta-ratio": ["delta.dims = [1, 2]", "delta.n_samples = 2000"],
+    "gaussian-oracles": [
+        "oracles.grid_points = [[3, 1, 3, 1, 4]]",
+        "oracles.mc_draws = 5000",
+    ],
+    "cv-comparison": [
+        "cv.dims = [2]",
+        "cv.s_grid = [2, 4]",
+        "cv.replicates = 60",
+    ],
+    "train-logreg": [
+        "logreg.dims = 3",
+        "logreg.n_data = 20",
+        "logreg.steps = 20",
+        "logging.every = 10",
+        "diagnostics.n_delta = 200",
+        "diagnostics.n_is = 400",
+        "diagnostics.n_elbo = 200",
+        "diagnostics.variance_replicates = 50",
+        "diagnostics.cv_oracle_samples = 100",
+    ],
+}
+
+
 def test_c10_every_subcommand_is_byte_deterministic(tmp_path):
     """Each experiment, run twice with the same config and seed, writes
     byte-identical CSV output."""
-    reduced = {
-        "unbiasedness": ["toy.dims = 2", "toy.s = 3", "toy.replicates = 500"],
-        "variance-sweep": [
-            "sweep.grid_points = [[1, 2, 1, 1, 4], [3, 1, 3, 1, 2]]",
-            "sweep.replicates = 400",
-        ],
-        "delta-ratio": ["delta.dims = [1, 2]", "delta.n_samples = 2000"],
-        "gaussian-oracles": [
-            "oracles.grid_points = [[3, 1, 3, 1, 4]]",
-            "oracles.mc_draws = 5000",
-        ],
-        "cv-comparison": [
-            "cv.dims = [2]",
-            "cv.s_grid = [2, 4]",
-            "cv.replicates = 60",
-        ],
-        "train-logreg": [
-            "logreg.dims = 3",
-            "logreg.n_data = 20",
-            "logreg.steps = 20",
-            "logging.every = 10",
-            "diagnostics.n_delta = 200",
-            "diagnostics.n_is = 400",
-            "diagnostics.n_elbo = 200",
-            "diagnostics.variance_replicates = 50",
-            "diagnostics.cv_oracle_samples = 100",
-        ],
-    }
-    for name, lines in reduced.items():
+    for name, lines in C10_REDUCED.items():
         lines = [f"experiment = {name}", "seed = 42"] + lines
         first = run_subcommand(tmp_path, name, lines, tmp_path / f"{name}-1.csv")
         second = run_subcommand(tmp_path, name, lines, tmp_path / f"{name}-2.csv")
         assert first.read_bytes() == second.read_bytes(), name
+
+
+def test_c10_metadata_block_is_a_config_that_reproduces_the_csv(tmp_path):
+    """A CSV's '#' lines, up to the values the run computed, are its resolved
+    config: parsed back they give the same options, and rerun they give the
+    same bytes. The order of the config's lines does not reach the CSV."""
+    for name, lines in C10_REDUCED.items():
+        lines = [f"experiment = {name}", "seed = 42"] + lines
+        csv = run_subcommand(tmp_path, name, lines, tmp_path / f"{name}.csv")
+        resolved = parse_config(tmp_path / f"{name}-{name}.cfg")  # written by run_subcommand
+        text = csv.read_text(encoding="utf-8")
+        block = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+        config_lines = block[: 2 + len(resolved.options)]
+        rerun = run_subcommand(tmp_path, name, config_lines, tmp_path / f"{name}-block.csv")
+        assert parse_config(tmp_path / f"{name}-{name}-block.cfg") == resolved, name
+        assert rerun.read_bytes() == csv.read_bytes(), name
+        shuffled = run_subcommand(tmp_path, name, lines[::-1], tmp_path / f"{name}-shuffled.csv")
+        assert shuffled.read_bytes() == csv.read_bytes(), name

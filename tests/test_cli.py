@@ -180,6 +180,43 @@ def test_jackknife_sample_counts_below_three_are_config_errors(tmp_path, experim
     assert_config_error(tmp_path, experiment, body, key)
 
 
+@pytest.mark.parametrize(
+    "experiment, body, key",
+    [
+        ("delta-ratio", "delta.mu = NaN", "delta.mu"),
+        ("delta-ratio", "delta.sigma2 = Infinity", "delta.sigma2"),
+        ("delta-ratio", "delta.mu_tilde = -Infinity", "delta.mu_tilde"),
+        ("delta-ratio", "delta.mu = 1e999", "delta.mu"),  # json reads it as inf
+        ("unbiasedness", "toy.logits = [NaN]", "toy.logits"),
+        (
+            "train-logreg",
+            "logreg.dims = 2\noptimizer.learning_rate = Infinity",
+            "optimizer.learning_rate",
+        ),
+        ("variance-sweep", "sweep.grid_points = [[1, 1, 1, 1, Infinity]]", "sweep.grid_points"),
+        ("cv-comparison", "cv.a_grid = [NaN]", "cv.a_grid"),
+        ("unbiasedness", 'toy.estimators = ["vargrad", "vargrad"]', "toy.estimators"),
+        ("cv-comparison", 'cv.estimators = ["reinforce", "reinforce"]', "cv.estimators"),
+    ],
+    ids=[
+        "nan",
+        "infinity",
+        "minus-infinity",
+        "overflowing-literal",
+        "nan-in-list",
+        "infinite-learning-rate",
+        "infinite-grid-s",
+        "nan-in-a-grid",
+        "duplicate-toy-estimator",
+        "duplicate-cv-estimator",
+    ],
+)
+def test_non_finite_numbers_and_duplicate_estimators_are_config_errors(
+    tmp_path, experiment, body, key
+):
+    assert_config_error(tmp_path, experiment, body, key)
+
+
 def assert_config_error(tmp_path, experiment, body, key):
     cfg = write_cfg(tmp_path, f"experiment = {experiment}\nseed = 1\n{body}\n")
     out = tmp_path / "x.csv"

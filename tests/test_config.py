@@ -55,6 +55,14 @@ def test_json_values_parse(tmp_path):
     assert cfg.out is None
 
 
+def test_null_unsets_only_optional_lists(tmp_path):
+    base = "experiment = unbiasedness\nseed = 0\n"
+    cfg = parse_config(write_config(tmp_path, base + "toy.posterior = null\n"))
+    assert cfg["toy.posterior"] is None
+    with pytest.raises(ConfigError, match="key 'toy.s': expected an integer"):
+        parse_config(write_config(tmp_path, base + "toy.s = null\n"))
+
+
 def test_required_key_enforced(tmp_path):
     with pytest.raises(ConfigError, match="missing required key 'logreg.dims'"):
         parse_config(

@@ -53,7 +53,7 @@ def test_unbiasedness_small_exact_case(tmp_path):
         toy.replicates = 4000
         """,
     )
-    assert metadata["table_source"] == "config"
+    assert metadata["toy.posterior"] == "[0.2, 0.8]"
     assert float(metadata["exact_kl"]) == pytest.approx(
         0.5 * math.log(0.5 / 0.2) + 0.5 * math.log(0.5 / 0.8), rel=1e-12
     )
@@ -100,7 +100,7 @@ def test_unbiasedness_seeded_table_and_min_s(tmp_path):
         toy.replicates = 20000
         """,
     )
-    assert metadata["table_source"] == "seeded"
+    assert metadata["toy.posterior"] == "null"  # the table comes from the seed
     assert len(rows) == 3 * 2  # three estimators, two logits
     assert all(r["within_4se"] == 1 for r in rows)
 
@@ -374,8 +374,8 @@ def test_train_logreg_log_schedule_and_diagnostics(tmp_path):
     metadata, header, rows = run(
         tmp_path, TRAIN_CFG.format(seed=61, out=tmp_path / "train.csv")
     )
-    assert metadata["log_every"] == "10"
-    assert metadata["dims"] == "3"
+    assert metadata["logging.every"] == "10"
+    assert metadata["logreg.dims"] == "3"
     # latent = weights + bias = 4, so 8 parameter coordinates per log point
     assert [r["step"] for r in rows[::8]] == [0, 10, 20, 30]
     assert len(rows) == 4 * 8
