@@ -212,6 +212,12 @@ def report_from_estimates(x: np.ndarray) -> VarianceReport:
     """Summarise an (R, P) array of replicate estimates (as produced by
     replicate_estimates) into a VarianceReport. The jackknife SEs of the
     variances need R >= 3 and are NaN below that."""
+    return _report_and_loo(x)[0]
+
+
+def _report_and_loo(x: np.ndarray) -> tuple[VarianceReport, np.ndarray | None]:
+    """The report of x and the delete-one variances behind its SEs (None
+    when R < 3)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected an (R, P) estimate array")
@@ -219,30 +225,32 @@ def report_from_estimates(x: np.ndarray) -> VarianceReport:
         raise ValueError("variance needs at least 2 replicates")
     r = x.shape[0]
     var = np.var(x, axis=0, ddof=1)
-    var_se = _jackknife_stat_se(_loo_variances(x)) if r >= 3 else np.full(x.shape[1], np.nan)
-    return VarianceReport(
+    loo = _loo_variances(x) if r >= 3 else None
+    report = VarianceReport(
         per_coordinate_variance=var,
         per_coordinate_mean=np.mean(x, axis=0),
-        standard_errors=var_se,
+        standard_errors=np.full(x.shape[1], np.nan) if loo is None else _jackknife_stat_se(loo),
         mean_standard_errors=np.sqrt(var) / np.sqrt(r),
     )
+    return report, loo
 
 
 def paired_difference_from_estimates(xa: np.ndarray, xb: np.ndarray) -> PairedVarianceDifference:
     """Var(a) - Var(b) from two (R, P) estimate arrays that were produced on
     the same replicate draws, with a paired delete-one jackknife SE (the
     per-replicate estimates are correlated by construction, which the
-    delete-one recomputation accounts for)."""
+    delete-one recomputation accounts for). The delete-one variances behind
+    each report's SEs also give the difference's SE."""
     xa = np.asarray(xa, dtype=float)
     xb = np.asarray(xb, dtype=float)
     if xa.shape != xb.shape or xa.ndim != 2:
         raise ValueError("expected two (R, P) arrays of equal shape")
-    report_a = report_from_estimates(xa)
-    report_b = report_from_estimates(xb)
-    if xa.shape[0] < 3:
+    report_a, loo_a = _report_and_loo(xa)
+    report_b, loo_b = _report_and_loo(xb)
+    if loo_a is None:
         diff_se = np.full(xa.shape[1], np.nan)
     else:
-        diff_se = _jackknife_stat_se(_loo_variances(xa) - _loo_variances(xb))
+        diff_se = _jackknife_stat_se(loo_a - loo_b)
     return PairedVarianceDifference(
         report_a=report_a,
         report_b=report_b,

@@ -139,7 +139,10 @@ def draw(params: Params, rng: np.random.Generator, S: int) -> np.ndarray:
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
     if isinstance(params, DiagGaussianParams):
-        return params.mean + params.std * rng.standard_normal((S, params.dim))
+        z = rng.standard_normal((S, params.dim))
+        z *= params.std  # in place: the same bits as mean + std * z
+        z += params.mean
+        return z
     if isinstance(params, MeanFieldBernoulliParams):
         return (rng.random((S, params.dim)) < params.probs).astype(float)
     raise TypeError(f"unknown family: {type(params).__name__}")

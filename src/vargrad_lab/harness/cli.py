@@ -10,6 +10,7 @@ experiment, so a file never silently drives the wrong runner. Exit codes:
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 
 import numpy as np
@@ -33,8 +34,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h) and the values set for them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20  # the largest glibc accepts on 64-bit
+_TRIM_THRESHOLD_BYTES = 256 << 20
+
+
+def _set_allocator_policy() -> None:
+    """Keep freed multi-MB numpy buffers in the heap for reuse.
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far and trims the heap top whenever twice that much is free, so a run
+    that frees and reallocates 8 MB arrays gives 16 MB back to the kernel
+    and faults it in again on every cycle. Fixed thresholds switch that
+    adjustment off: blocks under 32 MiB come from the heap, and the heap is
+    trimmed only past 256 MiB of free top. Other C libraries are left alone.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a refused value (return 0) leaves glibc's default policy, which only
+    # costs speed, so the return values are not checked
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _set_allocator_policy()
     try:
         cfg = parse_config(args.config)
         if cfg.experiment != args.command:

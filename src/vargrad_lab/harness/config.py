@@ -166,11 +166,21 @@ def _parse_value(raw: str, where: str) -> Any:
         return json.loads(raw, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError:
         return raw  # bare string, e.g. an experiment name or a path
+    except ConfigError:
+        raise
+    except ValueError:  # int() refuses integers past the int-digit limit
+        raise ConfigError(f"{where}: integer has too many digits") from None
 
 
 def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
     def fail(expected: str):
         raise ConfigError(f"key '{key}': expected {expected}, got {value!r}")
+
+    def to_float(v) -> float:
+        try:
+            return float(v)
+        except OverflowError:  # an integer literal past the float range
+            raise ConfigError(f"key '{key}': number too large for a float") from None
 
     kind = spec.kind
     if value is None and spec.default is None:
@@ -184,7 +194,7 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             fail("a number")
-        v = float(value)
+        v = to_float(value)
         if spec.minimum is not None and v < spec.minimum:
             raise ConfigError(f"key '{key}': must be >= {spec.minimum}, got {v}")
         return v
@@ -201,7 +211,7 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             fail("a non-empty list of numbers")
-        return [float(v) for v in value]
+        return [to_float(v) for v in value]
     if kind == "list_str":
         if not isinstance(value, list) or not value or any(not isinstance(v, str) for v in value):
             fail("a non-empty list of strings")
@@ -211,7 +221,7 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             fail("a list of probabilities")
-        probs = [float(v) for v in value]
+        probs = [to_float(v) for v in value]
         if any(p <= 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError(f"key '{key}': probabilities must be positive and sum to 1")
         return probs
@@ -231,7 +241,7 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
                 raise ConfigError(f"key '{key}': variances must be positive in row {row}")
             if int(s) != s or int(s) < 2:
                 raise ConfigError(f"key '{key}': S must be an integer >= 2 in row {row}")
-            rows.append([float(mu), float(mut), float(s2), float(s2t), int(s)])
+            rows.append([to_float(mu), to_float(mut), to_float(s2), to_float(s2t), int(s)])
         return rows
     raise AssertionError(f"unhandled field kind {kind}")
 

@@ -18,6 +18,8 @@ import numpy as np
 
 
 def format_cell(value: Any) -> str:
+    if type(value) is float:  # most cells; %.17g already spells nan, inf and -inf
+        return f"{value:.17g}"
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):

@@ -24,6 +24,13 @@ MAX_DISCRETE_DIM = 12
 # tolerance; anything further off errors instead of being thresholded.
 BINARY_ROUND_TOL = 1e-9
 
+# The logistic-regression log joint runs over blocks of this many rows of z,
+# so its (rows, N) buffers stay small enough for malloc to reuse. It is a
+# multiple of 64, so block edges sit on the BLAS kernels' row tiles, and the
+# remainder joins the last block: a block of a few rows (1030 as 1024 + 6)
+# takes OpenBLAS's small-matrix kernel, which moves that block's last bits.
+_LOGREG_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class GaussianTarget:
@@ -156,33 +163,7 @@ def log_joint(target: Target, z) -> np.ndarray | float:
         return out if out.ndim else float(out)
 
     if isinstance(target, LogRegModel):
-        d = target.n_features
-        w, b = z[..., :d], z[..., d:]
-        eta = w @ target.X.T  # (..., N)
-        eta += b
-        # y*log(sigmoid) + (1-y)*log(1-sigmoid) == y*eta - softplus(eta). The
-        # label term folds into the latent: sum_n y_n eta_n = z . (X^T y, sum y),
-        # so it costs one (..., D+1) dot product and no pass over eta. The
-        # softplus is max(eta, 0) + log1p(exp(-|eta|)), finite at any eta and
-        # evaluated in place on one buffer, about a third of the cost of
-        # np.logaddexp(0, eta). numpy's vectorised exp and log1p round
-        # differently from the scalar libm calls inside logaddexp, so the
-        # two softplus values differ by a few ULP on some elements and the
-        # log joint by about 1e-15 relative.
-        label = z @ np.append(target.y @ target.X, target.y.sum())
-        sp = np.abs(eta)
-        np.negative(sp, out=sp)
-        np.exp(sp, out=sp)
-        np.log1p(sp, out=sp)
-        sp += np.maximum(eta, 0.0, out=eta)
-        loglik = label - np.sum(sp, axis=-1)
-        log_prior_w = -0.5 * np.sum(w**2, axis=-1) / target.prior_w_var - 0.5 * d * np.log(
-            2.0 * np.pi * target.prior_w_var
-        )
-        log_prior_b = -0.5 * b[..., 0] ** 2 / target.prior_b_var - 0.5 * np.log(
-            2.0 * np.pi * target.prior_b_var
-        )
-        out = loglik + log_prior_w + log_prior_b
+        out = _logreg_log_joint(target, z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])
         return out if out.ndim else float(out)
 
     if isinstance(target, DiscreteToyModel):
@@ -198,6 +179,47 @@ def log_joint(target: Target, z) -> np.ndarray | float:
         return out if np.ndim(out) else float(out)
 
     raise TypeError(f"unknown target: {type(target).__name__}")
+
+
+def _logreg_log_joint(target: LogRegModel, z: np.ndarray) -> np.ndarray:
+    """log p(x, z) for rows z of shape (n, D + 1), block by block.
+
+    y*log(sigmoid) + (1-y)*log(1-sigmoid) == y*eta - softplus(eta). The label
+    term folds into the latent: sum_n y_n eta_n = z . (X^T y, sum y), so it
+    costs one (n, D+1) dot product and no pass over eta. The softplus is
+    max(eta, 0) + log1p(exp(-|eta|)), finite at any eta and evaluated in
+    place, about a third of the cost of np.logaddexp(0, eta). numpy's
+    vectorised exp and log1p round differently from the scalar libm calls
+    inside logaddexp, so the two softplus values differ by a few ULP on some
+    elements and the log joint by about 1e-15 relative. Every row is reduced
+    on its own, so the blocking leaves each row's bits as a single pass over
+    all rows would give them.
+    """
+    d = target.n_features
+    n = z.shape[0]
+    label = z @ np.append(target.y @ target.X, target.y.sum())
+    const_w = 0.5 * d * np.log(2.0 * np.pi * target.prior_w_var)
+    const_b = 0.5 * np.log(2.0 * np.pi * target.prior_b_var)
+    starts = range(0, max(n - _LOGREG_BLOCK_ROWS, 0) + 1, _LOGREG_BLOCK_ROWS)
+    ends = [*starts[1:], n]  # the last block is the longest
+    eta = np.empty((n - starts[-1], target.n_data))
+    sp = np.empty_like(eta)
+    out = np.empty(n)
+    for lo, hi in zip(starts, ends):
+        w, b = z[lo:hi, :d], z[lo:hi, d:]
+        e, s = eta[: hi - lo], sp[: hi - lo]
+        np.matmul(w, target.X.T, out=e)
+        e += b
+        np.abs(e, out=s)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.log1p(s, out=s)
+        s += np.maximum(e, 0.0, out=e)
+        loglik = label[lo:hi] - np.sum(s, axis=-1)
+        log_prior_w = -0.5 * np.sum(w**2, axis=-1) / target.prior_w_var - const_w
+        log_prior_b = -0.5 * b[:, 0] ** 2 / target.prior_b_var - const_b
+        out[lo:hi] = loglik + log_prior_w + log_prior_b
+    return out
 
 
 def synth_logreg_dataset(rng: np.random.Generator, N: int = 100, D: int = 10) -> LogRegModel:

@@ -354,7 +354,7 @@ C10_REDUCED = {
         "logreg.steps = 20",
         "logging.every = 10",
         "diagnostics.n_delta = 200",
-        "diagnostics.n_is = 400",
+        "diagnostics.n_is = 2500",  # two row blocks of the logreg log joint
         "diagnostics.n_elbo = 200",
         "diagnostics.variance_replicates = 50",
         "diagnostics.cv_oracle_samples = 100",

@@ -1,8 +1,11 @@
 """Exit codes, overrides, and error reporting for the console entry point."""
 
+import ctypes
 import os
+import platform
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -215,6 +218,52 @@ def test_non_finite_numbers_and_duplicate_estimators_are_config_errors(
     tmp_path, experiment, body, key
 ):
     assert_config_error(tmp_path, experiment, body, key)
+
+
+@pytest.mark.parametrize(
+    "experiment, body, key",
+    [
+        # float() of the integer overflows
+        ("delta-ratio", "delta.mu = 1" + "0" * 400, "delta.mu"),
+        # json's int() refuses more than 4300 digits
+        ("delta-ratio", "delta.n_samples = 1" + "0" * 5000, "delta.n_samples"),
+    ],
+    ids=["int-past-float-range", "int-past-digit-limit"],
+)
+def test_oversized_integers_are_config_errors(tmp_path, experiment, body, key):
+    assert_config_error(tmp_path, experiment, body, key)
+
+
+def _recording_libc(calls):
+    """Stands in for ctypes.CDLL(None): its mallopt records each call."""
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+def test_allocator_policy_fixes_both_glibc_thresholds(monkeypatch, capfd):
+    calls = []
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _recording_libc(calls))
+    cli._set_allocator_policy()
+    assert [param for param, _ in calls] == [-3, -1]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert capfd.readouterr() == ("", "")
+
+
+def test_allocator_policy_leaves_other_libcs_alone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _recording_libc(calls))
+    cli._set_allocator_policy()
+    assert calls == []
+
+
+def test_allocator_policy_is_silent_on_this_libc(capfd):
+    cli._set_allocator_policy()
+    assert capfd.readouterr() == ("", "")
 
 
 def assert_config_error(tmp_path, experiment, body, key):

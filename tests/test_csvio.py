@@ -18,6 +18,10 @@ def test_format_cell_conventions():
     assert format_cell("text") == "text"
     assert format_cell(0.1) == "0.10000000000000001"  # 17 significant digits
     assert float(format_cell(0.1)) == 0.1
+    assert format_cell(-0.0) == "-0"
+    # plain floats take a fast path; numpy floats take the general one
+    for v in (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.5e-310, 0.1):
+        assert format_cell(v) == format_cell(np.float64(v)), v
 
 
 def test_format_cell_rejects_unknown_types():

@@ -136,6 +136,48 @@ def test_logreg_batched_z_matches_per_row_reference():
         assert out[idx] == pytest.approx(loglik + _log_priors(m, w, b), rel=1e-12)
 
 
+def _single_pass_log_joint(m, z):
+    """The logreg log joint as one pass over every row of z at once, the
+    form the row-blocked evaluation must reproduce bit for bit."""
+    d = m.n_features
+    w, b = z[..., :d], z[..., d:]
+    eta = w @ m.X.T
+    eta += b
+    label = z @ np.append(m.y @ m.X, m.y.sum())
+    sp = np.abs(eta)
+    np.negative(sp, out=sp)
+    np.exp(sp, out=sp)
+    np.log1p(sp, out=sp)
+    sp += np.maximum(eta, 0.0, out=eta)
+    loglik = label - np.sum(sp, axis=-1)
+    log_prior_w = -0.5 * np.sum(w**2, axis=-1) / m.prior_w_var - 0.5 * d * np.log(
+        2.0 * np.pi * m.prior_w_var
+    )
+    log_prior_b = -0.5 * b[..., 0] ** 2 / m.prior_b_var - 0.5 * np.log(
+        2.0 * np.pi * m.prior_b_var
+    )
+    return loglik + log_prior_w + log_prior_b
+
+
+@pytest.mark.parametrize("n", [1, 4, 1023, 1024, 1025, 1030, 2049, 2500, 10000, 10007])
+def test_logreg_row_blocks_keep_the_single_pass_bits(n):
+    # 1030 rows as 1024 + 6 would send the 6-row tail through another BLAS
+    # kernel; the remainder joins the last block, so no row's bits move
+    m = synth_logreg_dataset(np.random.default_rng(31), N=100, D=50)
+    z = np.random.default_rng(n).normal(0.0, 2.0, size=(n, m.dim))
+    assert np.array_equal(log_joint(m, z), _single_pass_log_joint(m, z))
+
+
+def test_logreg_row_blocks_over_several_leading_axes():
+    # one BLAS call per row block instead of numpy's stacked matmul, so
+    # close rather than equal
+    m = synth_logreg_dataset(np.random.default_rng(32), N=100, D=50)
+    z = np.random.default_rng(33).normal(0.0, 2.0, size=(3, 700, m.dim))
+    out = log_joint(m, z)
+    assert out.shape == (3, 700)
+    np.testing.assert_allclose(out, _single_pass_log_joint(m, z), rtol=1e-12, atol=0.0)
+
+
 def test_logreg_validation():
     with pytest.raises(ValueError):
         LogRegModel(X=np.array([[2.0]]), y=np.array([1.0]))  # |x| > 1
