@@ -17,10 +17,10 @@ coordinates must stay addressable for per-coordinate diagnostics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 # Bernoulli probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] so scores and
 # log-densities stay finite at saturated logits. The clamp is applied in logit
@@ -30,6 +30,30 @@ _LOGIT_CLIP = float(np.log1p(-PROB_EPS) - np.log(PROB_EPS))  # logit(1 - eps)
 
 # support_states materialises all 2^D states; past this it refuses.
 MAX_ENUM_DIM = 20
+
+
+def _expit_scalar(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) is past the float range, where C's exp gives inf
+        return 0.0
+
+
+def expit(x) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)), element by element.
+
+    Each element goes through math.exp, which is the C library's exp, the
+    call scipy.special.expit makes, so the two agree bit for bit. numpy's
+    vectorised exp rounds differently on about 2% of inputs, which would
+    move the Bernoulli probabilities and with them the unbiasedness CSV.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([_expit_scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def gaussian_log_density(z: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """log N(z; mean, diag(var)) over the last axis of z."""
+    return -0.5 * np.sum((z - mean) ** 2 / var + np.log(2.0 * np.pi * var), axis=-1)
 
 
 def _validated_vector(x, name: str) -> np.ndarray:
@@ -158,8 +182,7 @@ def log_density(params: Params, z) -> np.ndarray | float:
     z = np.asarray(z, dtype=float)
     _check_last_axis(z, params.dim)
     if isinstance(params, DiagGaussianParams):
-        var = params.var
-        out = -0.5 * np.sum((z - params.mean) ** 2 / var + np.log(2.0 * np.pi * var), axis=-1)
+        out = gaussian_log_density(z, params.mean, params.var)
         return out if out.ndim else float(out)
     if isinstance(params, MeanFieldBernoulliParams):
         if not np.all((z == 0.0) | (z == 1.0)):

@@ -4,7 +4,8 @@
 
 Subcommands are the experiment names; the config file must declare the same
 experiment, so a file never silently drives the wrong runner. Exit codes:
-0 success, 2 configuration error, 3 numerical abort during a run.
+0 success, 2 configuration error, 3 numerical abort or library error during
+a run (for example an array shape numpy refuses or cannot allocate).
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ def main(argv=None) -> int:
         return 2
     except (NonFiniteGradientError, ArithmeticError) as exc:  # overflow, fp errors
         print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, MemoryError) as exc:  # ConfigError, a ValueError, is caught above
+        print(f"run error: {exc}", file=sys.stderr)
         return 3
     print(out)
     return 0

@@ -11,7 +11,6 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
-import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -25,12 +24,7 @@ def format_cell(value: Any) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.17g}"
+        return f"{float(value):.17g}"
     if isinstance(value, str):
         return value
     raise TypeError(f"cannot format {type(value).__name__} cell: {value!r}")

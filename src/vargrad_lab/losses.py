@@ -14,11 +14,10 @@ estimates by importance sampling (proposal q) and by plain Monte Carlo.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .estimators import draw_f
 from .families import DiagGaussianParams, Params
-from .targets import GaussianTarget, Target
+from .targets import GaussianTarget, Target, logsumexp
 
 
 def log_variance_loss(f: np.ndarray) -> float:

@@ -14,9 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
-from .families import MeanFieldBernoulliParams, log_density, support_probs, support_states
+from .families import (
+    MeanFieldBernoulliParams,
+    expit,
+    gaussian_log_density,
+    log_density,
+    support_probs,
+    support_states,
+)
 
 MAX_DISCRETE_DIM = 12
 
@@ -30,6 +36,31 @@ BINARY_ROUND_TOL = 1e-9
 # remainder joins the last block: a block of a few rows (1030 as 1024 + 6)
 # takes OpenBLAS's small-matrix kernel, which moves that block's last bits.
 _LOGREG_BLOCK_ROWS = 1024
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over all entries of a, by scipy.special.logsumexp's formula.
+
+    With m = max(a) and c entries equal to m, s = sum(exp(a - m)) over the
+    other entries, divided by c when nonzero; the result is
+    log1p(s) + log(c) + m, added in that order. The c maxima stay in the sum
+    as zeros, so numpy's pairwise summation groups the terms as scipy's
+    does. The result equals scipy 1.17's bit for bit, and its last bits are
+    fixed by this code rather than by an installed library. A non-finite
+    maximum (+inf, nan, or -inf when every entry is -inf) is the result.
+    """
+    a = np.asarray(a, dtype=float)
+    m = np.max(a)
+    if not np.isfinite(m):
+        return float(m)
+    at_max = a == m
+    c = np.count_nonzero(at_max)
+    e = np.exp(a - m)
+    e[at_max] = 0.0
+    s = np.sum(e)
+    if s != 0.0:
+        s = s / c
+    return float(np.log1p(s) + np.log(c) + m)
 
 
 @dataclass(frozen=True)
@@ -130,7 +161,7 @@ class DiscreteToyModel:
 
     @property
     def log_evidence(self) -> float:
-        return float(logsumexp(self.log_joint_table))
+        return logsumexp(self.log_joint_table)
 
     @property
     def posterior_probs(self) -> np.ndarray:
@@ -155,11 +186,7 @@ def log_joint(target: Target, z) -> np.ndarray | float:
         raise ValueError(f"latent dimension mismatch: expected {target.dim}, got {z.shape}")
 
     if isinstance(target, GaussianTarget):
-        var = target.post_var
-        out = (
-            -0.5 * np.sum((z - target.post_mean) ** 2 / var + np.log(2.0 * np.pi * var), axis=-1)
-            + target.log_evidence
-        )
+        out = gaussian_log_density(z, target.post_mean, target.post_var) + target.log_evidence
         return out if out.ndim else float(out)
 
     if isinstance(target, LogRegModel):

@@ -22,6 +22,9 @@ def test_format_cell_conventions():
     # plain floats take a fast path; numpy floats take the general one
     for v in (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.5e-310, 0.1):
         assert format_cell(v) == format_cell(np.float64(v)), v
+    assert format_cell(np.float32("nan")) == "nan"
+    assert format_cell(np.float32("inf")) == "inf"
+    assert format_cell(np.float32("-inf")) == "-inf"
 
 
 def test_format_cell_rejects_unknown_types():

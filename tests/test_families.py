@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from vargrad_lab.families import (
     DiagGaussianParams,
     MeanFieldBernoulliParams,
     draw,
+    expit,
     gaussian_score_kurtosis_analytic,
     log_density,
     param_labels,
@@ -302,3 +304,15 @@ def test_kurtosis_is_maximised_at_zero_mean():
     for mu in [0.5, 1.0, 3.0]:
         k = gaussian_score_kurtosis_analytic(gauss([mu], [0.2]))
         assert k[1] < 15.0
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 5.0, 40.0, 300.0])
+def test_expit_matches_scipy_bit_for_bit(scale):
+    x = np.random.default_rng(11).normal(0.0, scale, size=(50, 400))
+    assert np.array_equal(expit(x), scipy.special.expit(x))
+
+
+def test_expit_edges_match_scipy():
+    # exp(800) overflows, where C's exp returns inf and the sigmoid is 0
+    x = np.array([800.0, -800.0, np.inf, -np.inf, np.nan, 0.0, -0.0])
+    assert np.array_equal(expit(x), scipy.special.expit(x), equal_nan=True)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import expit
 
 from vargrad_lab.families import MeanFieldBernoulliParams, support_states
@@ -13,6 +14,7 @@ from vargrad_lab.targets import (
     LogRegModel,
     exact_kl_and_gradient,
     log_joint,
+    logsumexp,
     synth_logreg_dataset,
 )
 
@@ -336,3 +338,58 @@ def test_exact_kl_uses_enumerated_support_consistently():
     want = float(np.sum(qz * (np.log(qz) - np.log(post))))
     kl, _ = exact_kl_and_gradient(model, q)
     assert kl == pytest.approx(want, rel=1e-12)
+
+
+# ------------------------------------------------------------- logsumexp
+
+
+def _normal(rng):
+    return rng.normal(0.0, 10.0 ** rng.uniform(-2.0, 4.0), rng.integers(1, 300))
+
+
+def _max_at_zero(rng):
+    # log1p(s) + log(1) + 0 shows every bit of s, so a change in the sum's grouping shows
+    a = rng.normal(-8.0, 1.0, rng.integers(2, 300))
+    a[rng.integers(a.size)] = 0.0
+    return a
+
+
+def _some_neg_inf(rng):
+    a = _normal(rng)
+    a[1:][rng.random(a.size - 1) < 0.3] = -np.inf
+    return a
+
+
+def _ties_at_max(rng):
+    a = rng.normal(-2.0, 1.0, rng.integers(4, 300))
+    a[rng.choice(a.size, size=rng.integers(2, 4), replace=False)] = a.max() + rng.uniform(0.1, 3.0)
+    return a
+
+
+def _ten_thousand(rng):
+    a = rng.normal(-10.0, 3.0, 10000)
+    a[rng.integers(a.size)] = 0.0
+    return a
+
+
+LOGSUMEXP_KINDS = {
+    "normal": _normal,
+    "max-at-zero": _max_at_zero,
+    "some-neg-inf": _some_neg_inf,
+    "ties-at-max": _ties_at_max,
+    "single": lambda rng: rng.normal(0.0, 100.0, 1),
+    "10000": _ten_thousand,
+}
+
+
+@pytest.mark.parametrize("kind", list(LOGSUMEXP_KINDS))
+def test_logsumexp_matches_scipy_bit_for_bit(kind):
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        a = LOGSUMEXP_KINDS[kind](rng)
+        assert np.array_equal(logsumexp(a), scipy.special.logsumexp(a)), a
+
+
+def test_logsumexp_non_finite_maximum_matches_scipy():
+    for a in ([np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0], [np.inf, np.nan]):
+        assert np.array_equal(logsumexp(a), scipy.special.logsumexp(a), equal_nan=True), a
