@@ -335,8 +335,7 @@ def delta_ratio_bound(
     light-tail condition; pass C explicitly otherwise (or to hold it fixed
     across settings). KL and the kurtosis vector come from closed forms.
     """
-    kl = losses.kl_gaussian_closed_form(q_params, target)
-    kl = max(kl, 0.0)  # guard fp dust near q == posterior
+    kl = losses.kl_gaussian_closed_form(q_params, target)  # a sum of terms >= 0
     if C is None:
         C = gaussian_sup_ratio(q_params, target)
     if C <= 0.0:

@@ -5,12 +5,19 @@
 Subcommands are the experiment names; the config file must declare the same
 experiment, so a file never silently drives the wrong runner. Exit codes:
 0 success, 2 configuration error, 3 numerical abort or library error during
-a run (for example an array shape numpy refuses or cannot allocate).
+a run (for example an array shape numpy refuses or cannot allocate, or a
+worker process that died).
+
+Run as a program, train-logreg evaluates its logged steps on one forked
+worker per usable CPU; main() called in-process runs them serially unless
+given a worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import platform
 import sys
 
@@ -19,6 +26,7 @@ import numpy as np
 from ..optim import NonFiniteGradientError
 from .config import EXPERIMENTS, ConfigError, parse_config
 from .experiments import RUNNERS
+from .pool import WorkerLostError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +72,10 @@ def _set_allocator_policy() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def main(argv=None) -> int:
+def main(argv=None, workers: int = 1) -> int:
+    """Run one subcommand and return its exit code. train-logreg evaluates
+    its logged steps on up to workers forked processes; at 1 it runs them
+    in this process."""
     args = build_parser().parse_args(argv)
     _set_allocator_policy()
     try:
@@ -77,8 +88,13 @@ def main(argv=None) -> int:
         cfg = cfg.with_overrides(seed=args.seed, out=args.out)
         if cfg.out is None:
             raise ConfigError("no output path: set 'out' in the config or pass --out")
-        with np.errstate(over="raise"):  # an overflow aborts instead of writing inf
-            out = RUNNERS[cfg.experiment](cfg)
+        run = RUNNERS[cfg.experiment]
+        if cfg.experiment == "train-logreg":  # the one runner with a worker pool
+            run = functools.partial(run, workers=workers)
+        # an overflow aborts instead of writing inf; pool workers are forked
+        # inside this block, so they inherit it
+        with np.errstate(over="raise"):
+            out = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -88,15 +104,24 @@ def main(argv=None) -> int:
     except (NonFiniteGradientError, ArithmeticError) as exc:  # overflow, fp errors
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, MemoryError) as exc:  # ConfigError, a ValueError, is caught above
+    # ConfigError, a ValueError, is caught above
+    except (ValueError, MemoryError, WorkerLostError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 3
     print(out)
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, so `taskset`
+    limits it, or the CPU count where the OS has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def entry_point() -> None:
-    sys.exit(main())
+    sys.exit(main(workers=_usable_cpus()))
 
 
 if __name__ == "__main__":

@@ -5,10 +5,19 @@ from (seed, label, index) via split_stream, and writes one CSV through
 _write_run, whose metadata lines are the resolved config in config syntax
 followed by the few values the run computed. Reruns with the same config and
 seed are byte-identical.
+
+train-logreg runs in two stages. The SGD loop runs serially and records the
+parameters at step 0 and at every logging.every steps. Each recorded step is
+then turned into its diagnostic rows by _logreg_step_rows, which reads only
+(cfg, model, t, parameters) and its own split_stream(seed, label, t)
+streams. The steps can therefore run in any process and in any order; their
+rows are joined in step order and written once, so the bytes do not depend
+on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Any
@@ -32,6 +41,7 @@ from ..gaussian_oracles import (
 from ..targets import DiscreteToyModel, GaussianTarget
 from .config import ConfigError, ExperimentConfig
 from .csvio import write_csv
+from .pool import fork_map
 from .rng import split_stream
 
 
@@ -323,84 +333,106 @@ def run_cv_comparison(cfg: ExperimentConfig) -> str:
     return _write_run(cfg, rows)
 
 
-def run_train_logreg(cfg: ExperimentConfig) -> str:
-    d = cfg["logreg.dims"]
-    model = targets.synth_logreg_dataset(
-        split_stream(cfg.seed, "logreg-data"), N=cfg["logreg.n_data"], D=d
+def _logreg_step_rows(
+    cfg: ExperimentConfig, model: targets.LogRegModel, step: tuple[int, np.ndarray]
+) -> list[dict]:
+    """The diagnostic rows of one logged step (t, phi), one per parameter
+    coordinate of q = phi. Every stream is split_stream(seed, label, t), so
+    the rows depend only on (cfg, model, t, phi)."""
+    t, phi = step
+    q = DiagGaussianParams.from_vector(phi)
+    labels = families.param_labels(q)
+    log_ev, elbo = losses.evidence_and_elbo(
+        q,
+        model,
+        split_stream(cfg.seed, "diag-evidence", t),
+        n_is=cfg["diagnostics.n_is"],
+        n_elbo=cfg["diagnostics.n_elbo"],
     )
-    latent = model.dim
-    params = DiagGaussianParams(mean=np.zeros(latent), log_std=np.zeros(latent))
-    labels = families.param_labels(params)
-    state = optim.OptimizerState(lr=cfg["optimizer.learning_rate"])
-    steps, every, S_train = cfg["logreg.steps"], cfg["logging.every"], cfg["logreg.train_s"]
-    n_is, n_elbo, n_delta = cfg["diagnostics.n_is"], cfg["diagnostics.n_elbo"], cfg["diagnostics.n_delta"]
-    var_S, var_R = cfg["diagnostics.variance_s"], cfg["diagnostics.variance_replicates"]
+    kl_is = log_ev - elbo
+    if kl_is > 0.0:
+        denom = abs(math.sqrt(kl_is) - log_ev / math.sqrt(kl_is))
+    else:
+        denom = math.nan
+    delta = analysis.delta_cv_mc(
+        q, model, split_stream(cfg.seed, "diag-delta", t), cfg["diagnostics.n_delta"]
+    )
+    a_oracle = estimators.sampled_cv_coefficient(
+        q,
+        model,
+        split_stream(cfg.seed, "diag-cv-oracle", t),
+        cfg["diagnostics.cv_oracle_samples"],
+    )
+    specs = [
+        EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
+        EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
+        EstimatorSpec(
+            name="cv_sampled", tag=CV_SAMPLED_TAG, s_extra=cfg["diagnostics.cv_extra_samples"]
+        ),
+        EstimatorSpec(name="cv_oracle", tag=CV_TAG, a=a_oracle),
+    ]
+    ests = analysis.replicate_estimates(
+        q,
+        model,
+        split_stream(cfg.seed, "diag-variance", t),
+        cfg["diagnostics.variance_s"],
+        cfg["diagnostics.variance_replicates"],
+        specs,
+    )
+    pair = analysis.paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
+    # the pair already summarised the two estimators it compares
+    reports = {"reinforce": pair.report_a, "vargrad": pair.report_b}
+    for s in specs:
+        if s.name not in reports:
+            reports[s.name] = analysis.report_from_estimates(ests[s.name])
     rows = []
+    for k in range(q.num_params):
+        row = {
+            "step": t,
+            "coord": k,
+            "label": labels[k],
+            "elbo": elbo,
+            "log_evidence_is": log_ev,
+            "kl_is": kl_is,
+            "bound_denominator": denom,
+            "delta_abs_ratio": abs(float(delta.ratio[k])),
+            "delta_ratio_se": float(delta.ratio_se[k]),
+            "delta_valid": bool(delta.valid[k]),
+        }
+        for name in ("reinforce", "vargrad", "cv_sampled", "cv_oracle"):
+            row[f"var_{name}"] = float(reports[name].per_coordinate_variance[k])
+            row[f"var_{name}_se"] = float(reports[name].standard_errors[k])
+        row["diff_reinforce_vargrad"] = float(pair.diff[k])
+        row["diff_se_reinforce_vargrad"] = float(pair.diff_se[k])
+        rows.append(row)
+    return rows
 
-    def log_step(t: int, q: DiagGaussianParams) -> None:
-        log_ev, elbo = losses.evidence_and_elbo(
-            q, model, split_stream(cfg.seed, "diag-evidence", t), n_is=n_is, n_elbo=n_elbo
-        )
-        kl_is = log_ev - elbo
-        if kl_is > 0.0:
-            denom = abs(math.sqrt(kl_is) - log_ev / math.sqrt(kl_is))
-        else:
-            denom = math.nan
-        delta = analysis.delta_cv_mc(q, model, split_stream(cfg.seed, "diag-delta", t), n_delta)
-        a_oracle = estimators.sampled_cv_coefficient(
-            q,
-            model,
-            split_stream(cfg.seed, "diag-cv-oracle", t),
-            cfg["diagnostics.cv_oracle_samples"],
-        )
-        specs = [
-            EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
-            EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
-            EstimatorSpec(
-                name="cv_sampled", tag=CV_SAMPLED_TAG, s_extra=cfg["diagnostics.cv_extra_samples"]
-            ),
-            EstimatorSpec(name="cv_oracle", tag=CV_TAG, a=a_oracle),
-        ]
-        ests = analysis.replicate_estimates(
-            q, model, split_stream(cfg.seed, "diag-variance", t), var_S, var_R, specs
-        )
-        pair = analysis.paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
-        # the pair already summarised the two estimators it compares
-        reports = {"reinforce": pair.report_a, "vargrad": pair.report_b}
-        for s in specs:
-            if s.name not in reports:
-                reports[s.name] = analysis.report_from_estimates(ests[s.name])
-        for k in range(q.num_params):
-            row = {
-                "step": t,
-                "coord": k,
-                "label": labels[k],
-                "elbo": elbo,
-                "log_evidence_is": log_ev,
-                "kl_is": kl_is,
-                "bound_denominator": denom,
-                "delta_abs_ratio": abs(float(delta.ratio[k])),
-                "delta_ratio_se": float(delta.ratio_se[k]),
-                "delta_valid": bool(delta.valid[k]),
-            }
-            for name in ("reinforce", "vargrad", "cv_sampled", "cv_oracle"):
-                row[f"var_{name}"] = float(reports[name].per_coordinate_variance[k])
-                row[f"var_{name}_se"] = float(reports[name].standard_errors[k])
-            row["diff_reinforce_vargrad"] = float(pair.diff[k])
-            row["diff_se_reinforce_vargrad"] = float(pair.diff_se[k])
-            rows.append(row)
 
-    log_step(0, params)
+def run_train_logreg(cfg: ExperimentConfig, workers: int = 1) -> str:
+    """Train, then diagnose: the SGD loop runs here and records the
+    parameters at step 0 and every logging.every steps; each recorded step
+    then becomes its rows through _logreg_step_rows, on up to workers
+    processes. The CSV bytes do not depend on workers."""
+    model = targets.synth_logreg_dataset(
+        split_stream(cfg.seed, "logreg-data"), N=cfg["logreg.n_data"], D=cfg["logreg.dims"]
+    )
+    params = DiagGaussianParams(mean=np.zeros(model.dim), log_std=np.zeros(model.dim))
+    state = optim.OptimizerState(lr=cfg["optimizer.learning_rate"])
+    every = cfg["logging.every"]
     phi = params.to_vector()
-    for t in range(1, steps + 1):
-        f, sc = estimators.build_batch(params, model, split_stream(cfg.seed, "train", t), S_train)
-        grad = estimators.vargrad(f, sc)
-        phi = optim.sgd_step(state, phi, grad)
+    trajectory = [(0, phi)]
+    for t in range(1, cfg["logreg.steps"] + 1):
+        f, sc = estimators.build_batch(
+            params, model, split_stream(cfg.seed, "train", t), cfg["logreg.train_s"]
+        )
+        phi = optim.sgd_step(state, phi, estimators.vargrad(f, sc))
         params = DiagGaussianParams.from_vector(phi)
         if t % every == 0:
-            log_step(t, params)
+            trajectory.append((t, phi))
 
-    return _write_run(cfg, rows)
+    step_rows = functools.partial(_logreg_step_rows, cfg, model)
+    blocks = fork_map(step_rows, trajectory, workers)
+    return _write_run(cfg, [row for block in blocks for row in block])
 
 
 RUNNERS = {

@@ -1,12 +1,15 @@
 """Acceptance gate: ten product-level checks, one test per criterion, and
-for c10 a second test that the CSV metadata reruns to the same bytes.
+for c10 further tests that the CSV metadata reruns to the same bytes and
+that train-logreg's bytes do not depend on its worker count.
 
 Each test states its tolerance inline and is deterministic (fixed streams),
 so a pass here is reproducible. The heavyweight criteria also enforce their
 runtime budgets.
 """
 
+import concurrent.futures
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -57,13 +60,13 @@ def gaussian_pair(mu, s2, mut, s2t, log_ev=0.0, d=1):
     return q, t
 
 
-def run_subcommand(tmp_path, name, lines, out, seed=None):
+def run_subcommand(tmp_path, name, lines, out, seed=None, workers=1):
     cfg = tmp_path / f"{name}-{out.stem}.cfg"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = [name, "--config", str(cfg), "--out", str(out)]
     if seed is not None:
         argv += ["--seed", str(seed)]
-    assert cli.main(argv) == 0
+    assert cli.main(argv, workers=workers) == 0
     return out
 
 
@@ -311,7 +314,9 @@ def test_c09_logreg_training_diagnostics(tmp_path):
     points) for D in {20, 50}: every logged |delta / E[coefficient]| stays
     below 0.5, the leave-one-out estimator never has higher variance than
     Reinforce beyond 4 SE, and after the first 100 steps its variance stays
-    within 2x of the oracle-coefficient estimator. Budget: 15 minutes."""
+    within 2x of the oracle-coefficient estimator. The logged steps run on
+    two worker processes, as the CLI program runs them on a 2-CPU machine.
+    Budget: 15 minutes."""
     t0 = time.perf_counter()
     for dims, seed in ((20, 901), (50, 902)):
         out = run_subcommand(
@@ -319,6 +324,7 @@ def test_c09_logreg_training_diagnostics(tmp_path):
             "train-logreg",
             ["experiment = train-logreg", f"seed = {seed}", f"logreg.dims = {dims}"],
             tmp_path / f"train{dims}.csv",
+            workers=2,
         )
         _, _, rows = read_csv(out)
         assert len(rows) == 101 * 2 * (dims + 1)
@@ -370,6 +376,36 @@ def test_c10_every_subcommand_is_byte_deterministic(tmp_path):
         first = run_subcommand(tmp_path, name, lines, tmp_path / f"{name}-1.csv")
         second = run_subcommand(tmp_path, name, lines, tmp_path / f"{name}-2.csv")
         assert first.read_bytes() == second.read_bytes(), name
+
+
+def test_c10_train_logreg_bytes_do_not_depend_on_workers(tmp_path):
+    """The reduced train-logreg config (3 logged steps, two row blocks of the
+    logreg log joint) writes the same bytes serially and on 2 or 3 worker
+    processes. The worker count is passed explicitly, so this runs the pool
+    on a 1-CPU machine too."""
+    lines = ["experiment = train-logreg", "seed = 42"] + C10_REDUCED["train-logreg"]
+    outs = [
+        run_subcommand(tmp_path, "train-logreg", lines, tmp_path / f"w{w}.csv", workers=w)
+        for w in (1, 2, 3)
+    ]
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+    assert outs[2].read_bytes() == outs[0].read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_c10_single_logged_step_starts_no_pool(tmp_path, monkeypatch):
+    """With logreg.steps < logging.every only step 0 is logged, and it runs
+    in this process whatever the worker count."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one logged step")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    reduced = [line for line in C10_REDUCED["train-logreg"] if not line.startswith("logreg.steps")]
+    lines = ["experiment = train-logreg", "seed = 42", "logreg.steps = 5"] + reduced
+    out = run_subcommand(tmp_path, "train-logreg", lines, tmp_path / "one.csv", workers=2)
+    _, _, rows = read_csv(out)
+    assert {r["step"] for r in rows} == {0}
 
 
 def test_c10_metadata_block_is_a_config_that_reproduces_the_csv(tmp_path):

@@ -1,17 +1,23 @@
 """Exit codes, overrides, and error reporting for the console entry point."""
 
 import ctypes
+import math
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vargrad_lab
+from vargrad_lab import analysis
 from vargrad_lab.harness import cli
+from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.optim import NonFiniteGradientError
 
 
@@ -334,14 +340,20 @@ def test_overflow_during_a_run_is_a_numerical_abort(tmp_path, experiment, body):
     assert_exit_3(tmp_path, experiment, body)
 
 
-def test_undefined_sweep_condition_is_a_numerical_abort(tmp_path):
-    # sigma2 = 1 + 1e-8 against sigma2_tilde = 1: delta = 1e-8, but the
-    # closed-form KL rounds to exactly 0, so delta / ELBO has no value
-    assert_exit_3(
+def test_sweep_condition_is_finite_next_to_the_posterior(tmp_path, capsys):
+    # sigma2 = 1 + 1e-8 against sigma2_tilde = 1: delta = 1e-8 and the
+    # closed-form KL is about 2.5e-17, not 0, so delta / ELBO has a value
+    cfg = write_cfg(
         tmp_path,
-        "variance-sweep",
-        "sweep.grid_points = [[0, 0, 1.00000001, 1, 2]]\nsweep.replicates = 50",
+        "experiment = variance-sweep\nseed = 1\n"
+        "sweep.grid_points = [[0, 0, 1.00000001, 1, 4]]\nsweep.replicates = 50\n",
     )
+    out = tmp_path / "x.csv"
+    assert cli.main(["variance-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, _, rows = read_csv(out)
+    assert math.isfinite(rows[0]["condition_value"])
+    assert rows[0]["condition_value"] < 0.0  # delta > 0 over a negative ELBO
 
 
 @pytest.mark.parametrize(
@@ -361,3 +373,91 @@ def test_shapes_numpy_refuses_are_run_errors(tmp_path, experiment, body):
     # pass that check but too large for memory would allocate, so it is not
     # tested here
     assert_exit_3(tmp_path, experiment, body, prefix="run error:")
+
+
+# train-logreg with three logged steps (0, 10 and 20), small enough for a
+# few pool runs per test
+LOGREG_3_STEPS = """
+experiment = train-logreg
+seed = 3
+logreg.dims = 2
+logreg.n_data = 10
+logreg.steps = 20
+logging.every = 10
+diagnostics.n_delta = 50
+diagnostics.n_is = 100
+diagnostics.n_elbo = 50
+diagnostics.variance_replicates = 20
+diagnostics.cv_oracle_samples = 20
+"""
+
+
+def _fail_at_step_0(monkeypatch, fail):
+    """Make delta_cv_mc call fail() at logged step 0, the one step whose
+    parameters have an all-zero mean, and run normally at the others."""
+    real = analysis.delta_cv_mc
+
+    def delta_cv_mc(q, *args, **kwargs):
+        if not q.mean.any():
+            fail()
+        return real(q, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "delta_cv_mc", delta_cv_mc)
+
+
+def _overflow():
+    np.float64(1e308) * 10.0  # raises under the CLI's errstate
+
+
+def _kill_this_worker(parent=os.getpid()):
+    # only a forked worker may die; in the test process itself this fails
+    assert os.getpid() != parent, "step ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "fail, prefix",
+    [(_overflow, "numerical abort:"), (_kill_this_worker, "run error:")],
+    ids=["overflow", "killed"],
+)
+def test_worker_failure_is_exit_3_with_no_csv(tmp_path, capfd, monkeypatch, fail, prefix):
+    _fail_at_step_0(monkeypatch, fail)
+    cfg = write_cfg(tmp_path, LOGREG_3_STEPS)
+    out = tmp_path / "x.csv"
+    code = cli.main(["train-logreg", "--config", str(cfg), "--out", str(out)], workers=2)
+    err = capfd.readouterr().err
+    assert code == 3, err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_program_run_matches_the_serial_run(tmp_path):
+    # the program pools over the usable CPUs; in-process main is serial
+    cfg = write_cfg(tmp_path, LOGREG_3_STEPS)
+    pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+    proc = run_module(["train-logreg", "--config", str(cfg), "--out", str(pooled)])
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["train-logreg", "--config", str(cfg), "--out", str(serial)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_pool_modules_load_only_for_a_pool(tmp_path):
+    cfg = write_cfg(tmp_path, LOGREG_3_STEPS)
+    out = str(tmp_path / "x.csv")
+    argv = ["train-logreg", "--config", str(cfg), "--out", out]
+    script = (
+        "import sys\n"
+        "from vargrad_lab.harness import cli\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(set(pool) & set(sys.modules)))\n"
+        f"assert cli.main({argv!r}, workers=2) == 0\n"
+        "print(sorted(set(pool) & set(sys.modules)))\n"
+    )
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-4:] == [
+        out, "[]", out, "['concurrent.futures.process', 'multiprocessing']"
+    ]

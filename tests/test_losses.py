@@ -1,5 +1,6 @@
 """The log-variance loss, closed-form KL, and importance-sampled diagnostics."""
 
+import decimal
 import math
 
 import numpy as np
@@ -124,6 +125,44 @@ def test_kl_nonnegative_on_random_settings():
             post_mean=rng.normal(size=2), post_var=rng.uniform(0.2, 3.0, size=2)
         )
         assert kl_gaussian_closed_form(q, t) >= -1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("k", range(8, 16))
+def test_kl_next_to_the_posterior_matches_its_series(k, sign):
+    # sigma2 = 1 +- 10^-k against sigma2_tilde = 1: with x = r - 1 the KL is
+    # (x - log1p(x)) / 2 = x^2/4 - x^3/6 + O(x^4), far below the rounding of
+    # the separate terms of the textbook form
+    q = gauss([0.0], [0.5 * math.log1p(sign * 10.0**-k)])
+    t = GaussianTarget(post_mean=np.array([0.0]), post_var=np.array([1.0]))
+    x = float(q.var[0]) - 1.0
+    series = x**2 / 4.0 - x**3 / 6.0
+    assert kl_gaussian_closed_form(q, t) == pytest.approx(series, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_kl_at_moderate_variance_gaps_matches_exact_arithmetic(k, sign):
+    # sigma2 = 1 +- 10^-k: (x - log(1 + x)) / 2 in 50-digit decimal arithmetic
+    # from the exact binary value of x
+    q = gauss([0.0], [0.5 * math.log1p(sign * 10.0**-k)])
+    t = GaussianTarget(post_mean=np.array([0.0]), post_var=np.array([1.0]))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(float(q.var[0]) - 1.0)
+        exact = float((x - (1 + x).ln()) / 2)
+    assert kl_gaussian_closed_form(q, t) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_kl_is_zero_exactly_where_the_variance_ratio_is_one():
+    # q built from sigma2 as experiments build it: exp(2 * log_std) misses
+    # sigma2 by an ulp for about a third of values, and delta_cv_analytic's
+    # r - 1 is then nonzero; the KL must be 0 exactly when r - 1 is
+    for s2 in np.linspace(0.1, 10.0, 60):
+        q = gauss([2.0, -1.0], [0.5 * math.log(s2)] * 2)
+        t = GaussianTarget(post_mean=np.array([2.0, -1.0]), post_var=np.array([s2, s2]))
+        r = float(q.var[0]) / s2
+        assert (kl_gaussian_closed_form(q, t) == 0.0) == (r == 1.0), s2
 
 
 def test_kl_gradient_matches_finite_differences():
