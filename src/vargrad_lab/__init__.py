@@ -10,7 +10,7 @@ control variate.
 """
 
 from . import analysis, estimators, families, gaussian_oracles, losses, optim, targets
-from .estimators import build_batch, cv_estimator, reinforce, vargrad, vargrad_via_loss
+from .estimators import build_batch, vargrad, vargrad_via_loss
 from .families import DiagGaussianParams, MeanFieldBernoulliParams
 from .targets import DiscreteToyModel, GaussianTarget, LogRegModel
 
@@ -25,8 +25,6 @@ __all__ = [
     "optim",
     "targets",
     "build_batch",
-    "cv_estimator",
-    "reinforce",
     "vargrad",
     "vargrad_via_loss",
     "DiagGaussianParams",

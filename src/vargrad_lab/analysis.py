@@ -386,17 +386,3 @@ def cov_f_score2_mc(
     cov = float(prod.sum() / (n - 1))
     se = float(np.std(prod, ddof=1) / np.sqrt(n))
     return cov, se
-
-
-def kurtosis_mc(params: Params, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Per-coordinate score kurtosis E[s^4]/E[s^2]^2 from n draws; raw moments
-    are the definition here (the population score mean is zero). Coordinates
-    with zero second moment come back NaN."""
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    z = families.draw(params, rng, n)
-    sc = families.score(params, z)
-    m2 = np.mean(sc**2, axis=0)
-    m4 = np.mean(sc**4, axis=0)
-    ok = m2 > 0.0
-    return np.where(ok, m4 / np.where(ok, m2, 1.0) ** 2, np.nan)

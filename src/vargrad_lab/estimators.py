@@ -18,7 +18,10 @@ batch_sums reduces f and the scores to the three sums every estimator is a
 function of; combine applies the Reinforce, CV or leave-one-out formula to
 those sums; cv_coefficient is the sampled optimal CV coefficient. They work
 over any leading axes: analysis.replicate_estimates passes (R, S) blocks,
-and a single batch is the case with no leading axis.
+and a single batch is the case with no leading axis, so a single-batch
+Reinforce or CV estimate is combine(batch_sums(f, scores), tag, a).
+vargrad is the one single-batch estimator with its own name, because
+train-logreg steps with it.
 """
 
 from __future__ import annotations
@@ -130,26 +133,6 @@ def build_batch(
 def _check_loo(f: np.ndarray) -> None:
     if f.shape[-1] < 2:
         raise ValueError("the leave-one-out estimator needs S >= 2 (empirical variance)")
-
-
-def reinforce(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Plain score-function estimator: (1/S) sum_s f_s * score_s."""
-    return combine(batch_sums(f, scores), REINFORCE_TAG)
-
-
-def cv_estimator(f: np.ndarray, scores: np.ndarray, a) -> np.ndarray:
-    """Reinforce minus a constant-coefficient score control variate.
-
-    The correction a (*) mean(score) is elementwise per coordinate and has
-    zero expectation, so any finite constant a leaves the mean unchanged.
-    """
-    a = np.asarray(a, dtype=float)
-    p = scores.shape[-1]
-    if a.shape != (p,):
-        raise ValueError(f"a must have shape ({p},), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("control-variate coefficients must be finite")
-    return combine(batch_sums(f, scores), CV_TAG, a)
 
 
 def vargrad(f: np.ndarray, scores: np.ndarray) -> np.ndarray:

@@ -28,7 +28,9 @@ import numpy as np
 PROB_EPS = 1e-7
 _LOGIT_CLIP = float(np.log1p(-PROB_EPS) - np.log(PROB_EPS))  # logit(1 - eps)
 
-# support_states materialises all 2^D states; past this it refuses.
+# The one limit on exhaustive enumeration over {0,1}^D: support_states builds
+# a (2^D, D) float array (168 MB at D = 20) and refuses past it, and the
+# discrete toy model and the unbiasedness experiment share the limit.
 MAX_ENUM_DIM = 20
 
 
@@ -81,6 +83,10 @@ class DiagGaussianParams:
             raise ValueError(
                 f"mean and log_std must match: {self.mean.shape} vs {self.log_std.shape}"
             )
+        # a log_std below about -372 gives variance 0, where the density is
+        # 0/0: a diverged optimiser step raises here instead of making NaNs
+        if not np.all(np.exp(2.0 * self.log_std) > 0.0):
+            raise ValueError("log_std too small: the variance underflows to 0")
 
     @property
     def dim(self) -> int:
@@ -248,7 +254,8 @@ def gaussian_score_kurtosis_analytic(params: DiagGaussianParams) -> np.ndarray:
     """
     if not isinstance(params, DiagGaussianParams):
         raise TypeError("kurtosis formula is defined for the Gaussian family only")
-    mu2 = params.mean**2
-    s2 = params.var
-    t2_kurt = 3.0 * (4.0 * mu2**2 + 20.0 * mu2 * s2 + 5.0 * s2**2) / (2.0 * mu2 + s2) ** 2
+    # in r = mu^2 / sigma^2 the formula is 3 (4 r^2 + 20 r + 5) / (2 r + 1)^2,
+    # which stays finite where sigma^4 underflows (sigma^2 = 1e-300 at mu = 0)
+    r = params.mean**2 / params.var
+    t2_kurt = 3.0 * (4.0 * r**2 + 20.0 * r + 5.0) / (2.0 * r + 1.0) ** 2
     return np.concatenate([np.full(params.dim, 3.0), t2_kurt])

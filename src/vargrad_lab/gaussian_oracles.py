@@ -84,7 +84,11 @@ def delta_var_analytic(setting: Gaussian1DSetting) -> float:
     dmu = setting.mu - setting.mu_tilde
     c1 = dmu / s2t
     c2 = 0.5 * (1.0 / s2t - 1.0 / s2)
-    kl = 0.5 * np.log(s2t / s2) + (s2 + dmu**2) / (2.0 * s2t) - 0.5
+    ratio = s2t / s2
+    # a ratio past the float range (1e-300 / 1e300) would take log(0) = -inf;
+    # the difference of the logs is finite there
+    log_ratio = np.log(ratio) if 0.0 < ratio < np.inf else np.log(s2t) - np.log(s2)
+    kl = 0.5 * log_ratio + (s2 + dmu**2) / (2.0 * s2t) - 0.5
     return kl * (kl + 4.0 * c2 * s2) / (s * s2) - 2.0 * (c1**2 + c2**2 * s2) / (s * (s - 1.0))
 
 

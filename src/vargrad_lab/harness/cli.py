@@ -8,9 +8,10 @@ experiment, so a file never silently drives the wrong runner. Exit codes:
 a run (for example an array shape numpy refuses or cannot allocate, or a
 worker process that died).
 
-Run as a program, train-logreg evaluates its logged steps on one forked
-worker per usable CPU; main() called in-process runs them serially unless
-given a worker count.
+Every run sets BLAS to one thread, so the CSV bytes do not depend on the
+machine's CPU count. Run as a program, train-logreg evaluates its logged
+steps on one forked worker per usable CPU; main() called in-process runs
+them serially unless given a worker count.
 """
 
 from __future__ import annotations
@@ -72,12 +73,54 @@ def _set_allocator_policy() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
+# OpenBLAS's thread-count setter under the names its builds export: plain,
+# 64-bit-integer, and the scipy-openblas builds that numpy wheels bundle
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Run the loaded OpenBLAS on one thread in this process and in the
+    workers it forks.
+
+    A threaded BLAS splits the sum of a matrix product between its threads,
+    so the last bits of a product depend on the thread count: delta-ratio at
+    dims 30 and 20000 draws wrote different bytes under 1 and 2 threads.
+    Its idle threads also spin, which doubled the CPU time of a serial
+    train-logreg run on 2 CPUs without making it faster. The library is
+    found through this process's memory map (Linux); without one, or with
+    another BLAS, nothing changes.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: the same handle
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                break
+
+
 def main(argv=None, workers: int = 1) -> int:
     """Run one subcommand and return its exit code. train-logreg evaluates
     its logged steps on up to workers forked processes; at 1 it runs them
     in this process."""
     args = build_parser().parse_args(argv)
     _set_allocator_policy()
+    _one_blas_thread()
     try:
         cfg = parse_config(args.config)
         if cfg.experiment != args.command:

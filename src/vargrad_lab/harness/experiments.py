@@ -129,8 +129,10 @@ def _estimator_specs(
 
 def run_unbiasedness(cfg: ExperimentConfig) -> str:
     d = cfg["toy.dims"]
-    if d > 4:
-        raise ConfigError("toy.dims must be <= 4 (exhaustive enumeration oracle)")
+    if d > families.MAX_ENUM_DIM:
+        raise ConfigError(
+            f"toy.dims must be <= {families.MAX_ENUM_DIM} (exhaustive enumeration oracle)"
+        )
     posterior = cfg["toy.posterior"]
     if posterior is not None:
         if len(posterior) != 2**d:
@@ -342,7 +344,7 @@ def _logreg_step_rows(
     t, phi = step
     q = DiagGaussianParams.from_vector(phi)
     labels = families.param_labels(q)
-    log_ev, elbo = losses.evidence_and_elbo(
+    log_ev, elbo, lv_loss = losses.evidence_and_elbo(
         q,
         model,
         split_stream(cfg.seed, "diag-evidence", t),
@@ -404,6 +406,7 @@ def _logreg_step_rows(
             row[f"var_{name}_se"] = float(reports[name].standard_errors[k])
         row["diff_reinforce_vargrad"] = float(pair.diff[k])
         row["diff_se_reinforce_vargrad"] = float(pair.diff_se[k])
+        row["log_variance_loss"] = lv_loss
         rows.append(row)
     return rows
 
@@ -417,7 +420,7 @@ def run_train_logreg(cfg: ExperimentConfig, workers: int = 1) -> str:
         split_stream(cfg.seed, "logreg-data"), N=cfg["logreg.n_data"], D=cfg["logreg.dims"]
     )
     params = DiagGaussianParams(mean=np.zeros(model.dim), log_std=np.zeros(model.dim))
-    state = optim.OptimizerState(lr=cfg["optimizer.learning_rate"])
+    lr = cfg["optimizer.learning_rate"]
     every = cfg["logging.every"]
     phi = params.to_vector()
     trajectory = [(0, phi)]
@@ -425,7 +428,7 @@ def run_train_logreg(cfg: ExperimentConfig, workers: int = 1) -> str:
         f, sc = estimators.build_batch(
             params, model, split_stream(cfg.seed, "train", t), cfg["logreg.train_s"]
         )
-        phi = optim.sgd_step(state, phi, estimators.vargrad(f, sc))
+        phi = optim.sgd_step(phi, estimators.vargrad(f, sc), lr)
         params = DiagGaussianParams.from_vector(phi)
         if t % every == 0:
             trajectory.append((t, phi))

@@ -4,7 +4,8 @@ The log-variance loss is half the empirical variance of
 f = log q - log p(x, z) over the batch; it is invariant to the evidence
 constant because constants have no variance. Its gradient with the
 samples held fixed is the leave-one-out estimator
-(estimators.vargrad_via_loss).
+(estimators.vargrad_via_loss). train-logreg writes it at every logged step,
+from the ELBO batch of evidence_and_elbo.
 
 KL has two routes: the closed form for diagonal Gaussians and
 the identity KL = log p(x) - ELBO, whose two terms evidence_and_elbo
@@ -72,12 +73,15 @@ def evidence_and_elbo(
     rng: np.random.Generator,
     n_is: int = 10000,
     n_elbo: int = 2000,
-) -> tuple[float, float]:
-    """Importance-sampled log p(x) and a Monte Carlo ELBO, as a pair.
+) -> tuple[float, float, float]:
+    """Importance-sampled log p(x), a Monte Carlo ELBO and the log-variance
+    loss, as a triple.
 
     The proposal is q itself (the only distribution available in the loop).
     log p(x) is estimated as logsumexp of the log weights minus log n_is;
-    the IS batch is drawn first, then the ELBO batch.
+    the IS batch is drawn first, then the ELBO batch. The ELBO is minus the
+    mean of that batch's f values and the log-variance loss is half their
+    unbiased variance, so the loss costs no further draws.
     """
     if n_is < 2 or n_elbo < 2:
         raise ValueError("n_is and n_elbo must both be >= 2")
@@ -85,5 +89,5 @@ def evidence_and_elbo(
     if np.all(np.isneginf(log_w)):
         raise ValueError("all importance weights are zero; estimate undefined")
     log_evidence = float(logsumexp(log_w) - np.log(n_is))
-    elbo = -float(np.mean(draw_f(q_params, model, rng, n_elbo)[1]))
-    return log_evidence, elbo
+    f = draw_f(q_params, model, rng, n_elbo)[1]
+    return log_evidence, -float(np.mean(f)), log_variance_loss(f)

@@ -9,8 +9,6 @@ study running on top of the trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -18,18 +16,7 @@ class NonFiniteGradientError(RuntimeError):
     """Raised when a gradient contains NaN or infinity; aborts training."""
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """The SGD learning rate."""
-
-    lr: float
-
-    def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
-
-
-def sgd_step(state: OptimizerState, params_vector, grad) -> np.ndarray:
+def sgd_step(params_vector, grad, lr: float) -> np.ndarray:
     """One descent step: params - lr * grad."""
     p = np.asarray(params_vector, dtype=float)
     g = np.asarray(grad, dtype=float)
@@ -41,4 +28,4 @@ def sgd_step(state: OptimizerState, params_vector, grad) -> np.ndarray:
             f"{bad} non-finite gradient entries; max |finite| = "
             f"{np.max(np.abs(g[np.isfinite(g)])) if bad < g.size else 'n/a'}"
         )
-    return p - state.lr * g
+    return p - lr * g

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import (
+    MAX_ENUM_DIM,
     MeanFieldBernoulliParams,
     expit,
     gaussian_log_density,
@@ -23,8 +24,6 @@ from .families import (
     support_probs,
     support_states,
 )
-
-MAX_DISCRETE_DIM = 12
 
 # Latents fed to DiscreteToyModel.log_joint must sit on {0,1} up to this
 # tolerance; anything further off errors instead of being thresholded.
@@ -150,8 +149,8 @@ class DiscreteToyModel:
         if table.ndim != 1 or table.size == 0 or table.size & (table.size - 1):
             raise ValueError("log_joint_table length must be a power of two")
         d = int(table.size).bit_length() - 1
-        if d > MAX_DISCRETE_DIM:
-            raise ValueError(f"table covers 2^{d} states, limit is D <= {MAX_DISCRETE_DIM}")
+        if d > MAX_ENUM_DIM:
+            raise ValueError(f"table covers 2^{d} states, limit is D <= {MAX_ENUM_DIM}")
         if not np.all(np.isfinite(table)):
             raise ValueError("log_joint_table must be finite everywhere")
 

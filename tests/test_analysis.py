@@ -13,7 +13,6 @@ from vargrad_lab.analysis import (
     delta_cv_mc,
     delta_ratio_bound,
     gaussian_sup_ratio,
-    kurtosis_mc,
     paired_difference_from_estimates,
     replicate_estimates,
     report_from_estimates,
@@ -22,9 +21,9 @@ from vargrad_lab.estimators import (
     CV_TAG,
     REINFORCE_TAG,
     VARGRAD_TAG,
+    batch_sums,
+    combine,
     cv_coefficient,
-    cv_estimator,
-    reinforce,
     vargrad_via_loss,
 )
 from vargrad_lab.families import (
@@ -161,12 +160,13 @@ def test_replicate_estimates_stream_layout(monkeypatch, cap):
         for i in range(rows):
             b = f[i], sc[i]
             r = start + i
-            np.testing.assert_array_equal(got["reinforce"][r], reinforce(*b))
-            np.testing.assert_array_equal(got["cv"][r], cv_estimator(*b, a))
+            sums = batch_sums(*b)  # one batch: no leading replicate axis
+            np.testing.assert_array_equal(got["reinforce"][r], combine(sums, REINFORCE_TAG))
+            np.testing.assert_array_equal(got["cv"][r], combine(sums, CV_TAG, a))
             np.testing.assert_allclose(got["vargrad"][r], vargrad_via_loss(*b), rtol=1e-12)
             for name, (fe, se) in extra.items():
                 a_r = cv_coefficient(fe[i], se[i])
-                np.testing.assert_array_equal(got[name][r], cv_estimator(*b, a_r))
+                np.testing.assert_array_equal(got[name][r], combine(sums, CV_TAG, a_r))
         start += rows
 
 
@@ -496,37 +496,3 @@ def test_cov_f_score2_mc_validates():
         cov_f_score2_mc(q, t, np.random.default_rng(0), 100, 0, "bogus")
     with pytest.raises(ValueError):
         cov_f_score2_mc(q, t, np.random.default_rng(0), 1, 0, "mean")
-
-
-def test_kurtosis_mc_gaussian_zero_mean():
-    q = gauss([0.0, 0.0], [0.0, 0.5])
-    got = kurtosis_mc(q, np.random.default_rng(120), 1_000_000)
-    np.testing.assert_allclose(got, [3.0, 3.0, 15.0, 15.0], rtol=0.05)
-
-
-def test_kurtosis_mc_log_std_block_is_fifteen_for_any_mean():
-    # the log-std score is affine in the centred square, so its simulated
-    # kurtosis stays at 15 even where the natural-statistic formula moves
-    q = gauss([2.0], [0.0])
-    got = kurtosis_mc(q, np.random.default_rng(121), 1_000_000)
-    assert got[1] == pytest.approx(15.0, rel=0.05)
-
-
-def test_kurtosis_mc_symmetric_bernoulli_is_one():
-    b = MeanFieldBernoulliParams(logits=np.array([0.0]))
-    got = kurtosis_mc(b, np.random.default_rng(122), 10_000)
-    assert got[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_kurtosis_mc_degenerate_coordinate_is_nan(monkeypatch):
-    q = gauss([0.4], [0.0])
-    monkeypatch.setattr(
-        analysis.families, "draw", lambda params, rng, n: np.full((n, 1), 0.4)
-    )
-    got = kurtosis_mc(q, np.random.default_rng(123), 100)
-    assert np.isnan(got[0])  # constant draws kill the mean-score moment
-
-
-def test_kurtosis_mc_needs_four_samples():
-    with pytest.raises(ValueError):
-        kurtosis_mc(gauss([0.0], [0.0]), np.random.default_rng(0), 3)

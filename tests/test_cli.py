@@ -144,18 +144,19 @@ def test_subcommand_is_required():
     assert exc.value.code == 2
 
 
-def run_python(args):
+def run_python(args, **env):
     """Run a fresh interpreter with the package's own source root first on
-    its path, so no installed script is needed."""
+    its path, so no installed script is needed, and env added to its
+    environment."""
     src_root = str(Path(vargrad_lab.__file__).resolve().parents[1])
     path = [src_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env)
 
 
-def run_module(args):
+def run_module(args, **env):
     """Run the module entry point in a fresh interpreter."""
-    return run_python(["-m", "vargrad_lab.harness.cli"] + args)
+    return run_python(["-m", "vargrad_lab.harness.cli"] + args, **env)
 
 
 def test_cli_runs_load_numpy_only(tmp_path):
@@ -302,6 +303,46 @@ def test_allocator_policy_leaves_other_libcs_alone(monkeypatch):
 def test_allocator_policy_is_silent_on_this_libc(capfd):
     cli._set_allocator_policy()
     assert capfd.readouterr() == ("", "")
+
+
+def test_one_blas_thread_limits_a_loaded_openblas():
+    # in a fresh interpreter: every OpenBLAS in the memory map reports one
+    # thread after the call; with no OpenBLAS loaded the call is a no-op
+    script = (
+        "import ctypes\n"
+        "import os\n"
+        "import numpy\n"
+        "from vargrad_lab.harness import cli\n"
+        "cli._one_blas_thread()\n"
+        "maps = open('/proc/self/maps').readlines() if os.path.exists('/proc/self/maps') else []\n"
+        "paths = {l.split(None, 5)[5].strip() for l in maps if 'openblas' in l}\n"
+        "names = [n.replace('set_num', 'get_num') for n in cli._OPENBLAS_SET_THREADS]\n"
+        "for path in paths:\n"
+        "    lib = ctypes.CDLL(path)\n"
+        "    print([getattr(lib, n)() for n in names if hasattr(lib, n)][0])\n"
+    )
+    proc = run_python(["-c", script], OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"1"}
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # delta_cv_mc's (n, P) matrix products at 20000 draws and 60 parameters
+    # are large enough for a threaded OpenBLAS to split their sums, which
+    # moves the last bits of delta_mc; every run uses one BLAS thread
+    cfg = write_cfg(
+        tmp_path,
+        "experiment = delta-ratio\nseed = 1\ndelta.dims = [30]\ndelta.n_samples = 20000\n",
+    )
+    outs = []
+    for threads in ("2", "1"):
+        out = tmp_path / f"blas{threads}.csv"
+        proc = run_module(
+            ["delta-ratio", "--config", str(cfg), "--out", str(out)], OPENBLAS_NUM_THREADS=threads
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def assert_config_error(tmp_path, experiment, body, key):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from vargrad_lab import estimators
 from vargrad_lab.estimators import (
+    CV_TAG,
+    REINFORCE_TAG,
+    batch_sums,
     build_batch,
-    cv_estimator,
-    reinforce,
+    combine,
     sampled_cv_coefficient,
     vargrad,
     vargrad_via_loss,
@@ -41,6 +43,24 @@ def gauss(mean, log_std):
 
 def manual_batch(f_values, scores):
     return np.asarray(f_values, dtype=float), np.asarray(scores, dtype=float)
+
+
+# The single-batch Reinforce and CV estimates, written as the replicate runs
+# compute them: the case of batch_sums and combine with no leading axis.
+def reinforce(f, scores):
+    return combine(batch_sums(f, scores), REINFORCE_TAG)
+
+
+def cv_estimator(f, scores, a):
+    return combine(batch_sums(f, scores), CV_TAG, a)
+
+
+SINGLE_BATCH = {
+    "reinforce": reinforce,
+    "cv_estimator": lambda f, scores: cv_estimator(f, scores, np.zeros(2)),
+    "vargrad": vargrad,
+    "vargrad_via_loss": vargrad_via_loss,
+}
 
 
 def random_batch(rng, S=None, P=None):
@@ -125,13 +145,11 @@ def test_two_sample_vargrad_hand_expansion():
     assert vargrad(*b)[0] == pytest.approx(3.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("estimator", ["reinforce", "cv_estimator", "vargrad", "vargrad_via_loss"])
+@pytest.mark.parametrize("estimator", list(SINGLE_BATCH))
 @pytest.mark.parametrize("S_f, S_scores", [(3, 4), (1, 4), (4, 1)])
 def test_estimators_reject_mismatched_sample_counts(estimator, S_f, S_scores):
-    f, scores = np.ones(S_f), np.ones((S_scores, 2))
-    args = (f, scores, np.zeros(2)) if estimator == "cv_estimator" else (f, scores)
     with pytest.raises(ValueError):
-        getattr(estimators, estimator)(*args)
+        SINGLE_BATCH[estimator](np.ones(S_f), np.ones((S_scores, 2)))
 
 
 @pytest.mark.parametrize("S", [2, 9, 1000])
@@ -229,14 +247,6 @@ def test_vargrad_requires_two_samples():
         vargrad(*b)
     with pytest.raises(ValueError):
         vargrad_via_loss(*b)
-
-
-def test_cv_estimator_validates_coefficient():
-    b = manual_batch([1.0, 2.0], [[1.0], [0.0]])
-    with pytest.raises(ValueError):
-        cv_estimator(*b, np.zeros(3))
-    with pytest.raises(ValueError):
-        cv_estimator(*b, np.array([np.nan]))
 
 
 # ----------------------------------------------------------- exact expectation

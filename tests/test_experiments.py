@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vargrad_lab.estimators import draw_f
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
     Gaussian1DSetting,
@@ -17,8 +18,9 @@ from vargrad_lab.gaussian_oracles import (
 from vargrad_lab.harness.config import ConfigError, parse_config
 from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.harness.experiments import RUNNERS
+from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form
-from vargrad_lab.targets import GaussianTarget
+from vargrad_lab.targets import GaussianTarget, synth_logreg_dataset
 
 
 def run(tmp_path, text, name="run.cfg"):
@@ -115,7 +117,7 @@ def test_unbiasedness_config_errors(tmp_path):
         with pytest.raises(ConfigError, match=match):
             RUNNERS[cfg.experiment](cfg)
 
-    expect_error("toy.dims = 5\n", "must be <= 4")
+    expect_error("toy.dims = 21\n", "must be <= 20")
     expect_error("toy.posterior = [0.5, 0.5]\ntoy.dims = 2\n", "2\\^dims")
     expect_error("toy.logits = [0.0, 0.0]\n", "needs dims")
     expect_error('toy.estimators = ["bogus"]\n', "unknown estimator")
@@ -389,6 +391,22 @@ def test_train_logreg_log_schedule_and_diagnostics(tmp_path):
             assert r[f"var_{name}"] >= 0.0
     labels = {r["label"] for r in rows}
     assert labels == {f"mean_{k}" for k in range(4)} | {f"log_std_{k}" for k in range(4)}
+
+
+def test_train_logreg_writes_the_log_variance_loss_of_the_elbo_batch(tmp_path):
+    # the last column is half the unbiased variance of the ELBO batch's f
+    # values: at step 0, the n_elbo draws after the n_is importance draws of
+    # the step's diag-evidence stream, at q = N(0, I)
+    _, header, rows = run(tmp_path, TRAIN_CFG.format(seed=64, out=tmp_path / "lv.csv"))
+    assert header[-1] == "log_variance_loss"
+    model = synth_logreg_dataset(split_stream(64, "logreg-data"), N=40, D=3)
+    q = DiagGaussianParams(mean=np.zeros(4), log_std=np.zeros(4))
+    rng = split_stream(64, "diag-evidence", 0)
+    draw_f(q, model, rng, 2000)
+    f = draw_f(q, model, rng, 500)[1]
+    step0 = [r for r in rows if r["step"] == 0]
+    assert {r["log_variance_loss"] for r in step0} == {0.5 * float(np.var(f, ddof=1))}
+    assert all(r["log_variance_loss"] > 0.0 for r in rows)
 
 
 def test_train_logreg_is_deterministic_per_seed(tmp_path):

@@ -14,12 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vargrad_lab"
 
 KEPT = {
-    "log_variance_loss": "the paper's namesake loss; vargrad_via_loss is its gradient",
-    "reinforce": "single-batch estimator API, exported by the package and used in the README",
-    "cv_estimator": "single-batch estimator API, exported by the package",
     "vargrad_via_loss": "the loss-gradient route that checks the leave-one-out estimator",
     "delta_ratio_bound": "the paper's bound on the correction ratio, checked by test_c06",
-    "kurtosis_mc": "Monte Carlo reference for the score kurtosis, checked by test_c07",
     "read_csv": "the reader of the CSV format write_csv writes",
 }
 

@@ -184,10 +184,13 @@ def test_evidence_and_elbo_exact_at_posterior():
     t = GaussianTarget(
         post_mean=np.array([1.0]), post_var=np.array([1.0]), log_evidence=-4.2
     )
-    log_ev, elbo = evidence_and_elbo(q, t, np.random.default_rng(93), n_is=100, n_elbo=100)
+    log_ev, elbo, lv_loss = evidence_and_elbo(
+        q, t, np.random.default_rng(93), n_is=100, n_elbo=100
+    )
     assert log_ev == pytest.approx(-4.2, abs=1e-12)
     assert elbo == pytest.approx(-4.2, abs=1e-12)
-    log_ev, elbo = evidence_and_elbo(q, t, np.random.default_rng(94), n_is=100, n_elbo=100)
+    assert lv_loss == pytest.approx(0.0, abs=1e-12)  # f is constant at the posterior
+    log_ev, elbo, _ = evidence_and_elbo(q, t, np.random.default_rng(94), n_is=100, n_elbo=100)
     assert log_ev - elbo == pytest.approx(0.0, abs=1e-12)  # KL = log p(x) - ELBO
 
 
@@ -196,7 +199,7 @@ def test_kl_via_importance_sampling_matches_closed_form():
     # population SEs from quadrature: Var(w) = 1.9859, Var(f) = 14
     n = 100_000
     combined_se = math.sqrt(2.0 * chi2_half_variance_ref(3, 1, 3, 1) / n + 14.0 / n)
-    log_ev, elbo = evidence_and_elbo(q, t, split_stream(95, "kl-is"), n_is=n, n_elbo=n)
+    log_ev, elbo, _ = evidence_and_elbo(q, t, split_stream(95, "kl-is"), n_is=n, n_elbo=n)
     assert abs(log_ev - elbo - 2.450693855665945) < 3.0 * combined_se
 
 
@@ -204,8 +207,8 @@ def test_evidence_error_shrinks_with_more_samples():
     q, t = c2_setting()
     wins = 0
     for s in range(10):
-        lo, _ = evidence_and_elbo(q, t, split_stream(s, "is-lo"), n_is=1000, n_elbo=2)
-        hi, _ = evidence_and_elbo(q, t, split_stream(s, "is-hi"), n_is=100_000, n_elbo=2)
+        lo = evidence_and_elbo(q, t, split_stream(s, "is-lo"), n_is=1000, n_elbo=2)[0]
+        hi = evidence_and_elbo(q, t, split_stream(s, "is-hi"), n_is=100_000, n_elbo=2)[0]
         wins += abs(hi) < abs(lo)
     assert wins >= 9
 

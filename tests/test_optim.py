@@ -7,7 +7,7 @@ import pytest
 
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
-from vargrad_lab.optim import NonFiniteGradientError, OptimizerState, sgd_step
+from vargrad_lab.optim import NonFiniteGradientError, sgd_step
 from vargrad_lab.targets import GaussianTarget
 
 
@@ -29,24 +29,21 @@ def grad_of(x):
 
 
 def test_sgd_step_formula():
-    state = OptimizerState(lr=0.001)
-    x = np.array([1.0, -2.0])
-    got = sgd_step(state, x, np.array([1.0, 1.0]))
+    got = sgd_step(np.array([1.0, -2.0]), np.array([1.0, 1.0]), 0.001)
     np.testing.assert_allclose(got, [0.999, -2.001], atol=1e-15)
 
 
 def test_sgd_zero_gradient_is_fixed_point():
-    state = OptimizerState(lr=0.5)
     x = np.array([3.0, 4.0])
-    np.testing.assert_array_equal(sgd_step(state, x, np.zeros(2)), x)
+    np.testing.assert_array_equal(sgd_step(x, np.zeros(2), 0.5), x)
 
 
 def test_sgd_descends_quadratic_monotonically():
-    state = OptimizerState(lr=0.05)
+    lr = 0.05
     x = X0.copy()
     kls = [kl_of(x)]
     for _ in range(500):
-        x = sgd_step(state, x, grad_of(x))
+        x = sgd_step(x, grad_of(x), lr)
         kls.append(kl_of(x))
     kls = np.array(kls)
     assert np.all(np.diff(kls) < 1e-15)
@@ -54,10 +51,10 @@ def test_sgd_descends_quadratic_monotonically():
 
 
 def test_sgd_reaches_optimum_on_quadratic():
-    state = OptimizerState(lr=0.05)
+    lr = 0.05
     x = X0.copy()
     for _ in range(2000):
-        x = sgd_step(state, x, grad_of(x))
+        x = sgd_step(x, grad_of(x), lr)
     assert kl_of(x) < 1e-3
 
 
@@ -65,25 +62,16 @@ def test_sgd_reaches_optimum_on_quadratic():
 
 
 def test_non_finite_gradients_abort():
-    state = OptimizerState(lr=0.1)
     with pytest.raises(NonFiniteGradientError) as err:
-        sgd_step(state, np.zeros(2), np.array([np.nan, 1.0]))
+        sgd_step(np.zeros(2), np.array([np.nan, 1.0]), 0.1)
     assert "non-finite" in str(err.value)
     with pytest.raises(NonFiniteGradientError):
-        sgd_step(state, np.zeros(2), np.array([np.inf, 1.0]))
+        sgd_step(np.zeros(2), np.array([np.inf, 1.0]), 0.1)
 
 
 def test_shape_mismatch_rejected():
-    state = OptimizerState(lr=0.1)
     with pytest.raises(ValueError):
-        sgd_step(state, np.zeros(2), np.zeros(3))
-
-
-def test_optimizer_state_validation():
-    with pytest.raises(ValueError):
-        OptimizerState(lr=0.0)
-    with pytest.raises(ValueError):
-        OptimizerState(lr=-0.1)
+        sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
 
 def test_non_finite_error_is_runtime_error():

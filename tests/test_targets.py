@@ -273,7 +273,7 @@ def test_discrete_model_validation():
     with pytest.raises(ValueError):
         DiscreteToyModel(log_joint_table=np.zeros(3))  # not a power of two
     with pytest.raises(ValueError):
-        DiscreteToyModel(log_joint_table=np.zeros(2**13))  # dimension cap
+        DiscreteToyModel(log_joint_table=np.zeros(2**21))  # past MAX_ENUM_DIM = 20
     with pytest.raises(ValueError):
         DiscreteToyModel.from_posterior(np.array([0.5, 0.6]))  # not normalised
 
