@@ -33,7 +33,6 @@ from .estimators import (
     draw_f,
 )
 from .families import DiagGaussianParams, Params, gaussian_score_kurtosis_analytic
-from .gaussian_oracles import CONVENTIONS, MEAN_CONVENTION, VARIANCE_CONVENTION
 # log_joint is no longer called here, but perfbench/checks.py reads the
 # analysis.log_joint binding, so it stays importable from this module.
 from .targets import GaussianTarget, Target, log_joint  # noqa: F401
@@ -56,9 +55,12 @@ _CHUNK_SAMPLE_CAP = 1 << 15
 class DeltaReport:
     """Monte Carlo correction term per coordinate, with jackknife SEs.
 
-    delta_cv and ratio are NaN where valid is False (zero score variance).
-    a_vargrad_expectation is the sample mean of f, the expectation of the
-    batch-mean coefficient; ratio = delta_cv / a_vargrad_expectation.
+    cov is the sample covariance Cov(f, score_i^2), the numerator of
+    delta_cv, and cov_se its delete-one jackknife SE; both are defined for
+    every coordinate. delta_cv and ratio are NaN where valid is False (zero
+    score variance). a_vargrad_expectation is the sample mean of f, the
+    expectation of the batch-mean coefficient; ratio = delta_cv /
+    a_vargrad_expectation.
     """
 
     delta_cv: np.ndarray
@@ -67,6 +69,8 @@ class DeltaReport:
     ratio: np.ndarray
     ratio_se: np.ndarray
     valid: np.ndarray
+    cov: np.ndarray
+    cov_se: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -265,8 +269,8 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
     delta_i is the ratio of the sample covariance Cov(f, score_i^2) to the
     sample variance Var(score_i); sharing the draws across numerator and
     denominator makes this a biased (but consistent) ratio estimate, which
-    is accepted for diagnostics. SEs are delete-one jackknife on the ratio
-    statistics themselves.
+    is accepted for diagnostics. SEs are delete-one jackknife on the
+    covariance and ratio statistics themselves.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -298,6 +302,8 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
         ratio=ratio,
         ratio_se=ratio_se,
         valid=valid,
+        cov=cov,
+        cov_se=_jackknife_stat_se(cov_t),
     )
 
 
@@ -351,38 +357,3 @@ def delta_ratio_bound(
     denom = abs(np.sqrt(kl) - log_ev / np.sqrt(kl))
     bound = 2.0 * np.sqrt(C * kurt) / denom
     return BoundReport(bound, float(C), kurt, undefined=False)
-
-
-def cov_f_score2_mc(
-    q_params: DiagGaussianParams,
-    target: Target,
-    rng: np.random.Generator,
-    n: int,
-    k: int,
-    convention: str,
-) -> tuple[float, float]:
-    """Monte Carlo Cov(f, score_k^2) for one latent coordinate, where the
-    score is taken with respect to the mean, the variance, or the log
-    variance of that coordinate. Returns (estimate, delta-method SE); the SE
-    is the spread of the centred cross products over draws, which is what
-    the sample covariance averages.
-    """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0 <= k < q_params.dim:
-        raise ValueError(f"coordinate {k} out of range for dim {q_params.dim}")
-    z, f = draw_f(q_params, target, rng, n)
-    sc = families.score(q_params, z)
-    if convention == MEAN_CONVENTION:
-        s = sc[:, k]
-    else:  # the log-variance score is half the log-std score
-        s = 0.5 * sc[:, q_params.dim + k]
-        if convention == VARIANCE_CONVENTION:
-            s = s / q_params.var[k]
-    y = s**2
-    prod = (f - f.mean()) * (y - y.mean())
-    cov = float(prod.sum() / (n - 1))
-    se = float(np.std(prod, ddof=1) / np.sqrt(n))
-    return cov, se

@@ -12,12 +12,13 @@ coefficient.
 Coordinate conventions. The library parameterises Gaussians by (mean,
 log-std), while the variance analysis is naturally stated per coordinate in
 one of three conventions: the mean, the variance sigma^2, or log sigma^2.
-Scores in these conventions differ by smooth rescalings
+Scores in these conventions are rescaled library scores
 (d/d sigma^2 = sigma^-2 d/d log sigma^2, and the log-std score is twice the
-log-variance score), so this module exposes all of them explicitly and the
-per-library-coordinate quantities convert at this boundary. Note that
-squared scores pick up the squared chain factor: Cov(f, score^2) in the
-sigma^2 convention is sigma^-4 times the log-sigma^2 one.
+log-variance score), so a squared score is a library coordinate's squared
+score times a squared chain factor: 1 for the mean, 1/4 for log sigma^2 and
+1/(4 sigma^4) for sigma^2. convention_coordinate is that one mapping; the
+closed-form Cov(f, score^2) and the Monte Carlo one of gaussian-oracles
+both go through it.
 
 Two standard Gaussian facts used below, derived from the central moments
 E[u^2] = sigma^2, E[u^4] = 3 sigma^4, E[u^6] = 15 sigma^6 of u = z - mean:
@@ -27,8 +28,6 @@ rather than trusted.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,54 +41,37 @@ LOG_VARIANCE_CONVENTION = "log_variance"
 CONVENTIONS = (MEAN_CONVENTION, VARIANCE_CONVENTION, LOG_VARIANCE_CONVENTION)
 
 
-@dataclass(frozen=True)
-class Gaussian1DSetting:
-    """One-dimensional comparison setting: q = N(mu, sigma2) against a
-    posterior N(mu_tilde, sigma2_tilde), with S samples per estimate."""
-
-    mu: float
-    mu_tilde: float
-    sigma2: float
-    sigma2_tilde: float
-    S: int
-
-    def __post_init__(self):
-        if self.sigma2 <= 0.0 or self.sigma2_tilde <= 0.0:
-            raise ValueError("variances must be positive")
-        if self.S < 2:
-            raise ValueError("S must be >= 2")
-
-
-def delta_var_analytic(setting: Gaussian1DSetting) -> float:
-    """Var(Reinforce_mu) - Var(VarGrad_mu) for the 1-D Gaussian setting.
+def delta_var_analytic(q_params: DiagGaussianParams, target: GaussianTarget, S: int) -> float:
+    """Var(Reinforce_mu) - Var(VarGrad_mu) for a 1-D pair, q = N(mu, sigma2)
+    against the posterior N(mu_tilde, sigma2_tilde), with S samples per
+    estimate.
 
     For u = z - mu the integrand decomposes as f = c0 + c1 u + c2 u^2 with
     c1 = dmu / sigma2_tilde and c2 = (1/sigma2_tilde - 1/sigma2) / 2, and
-    E[f] = KL (the integrand is log q - log posterior: zero log-evidence
-    normalisation, matching a GaussianTarget with log_evidence = 0).
-    Expanding both estimators' second moments over S iid draws gives
+    E[f] = KL - log p(x). Expanding both estimators' second moments over S
+    iid draws gives
 
-        KL (KL + 4 c2 sigma^2) / (S sigma^2)
+        E[f] (E[f] + 4 c2 sigma^2) / (S sigma^2)
             - 2 (c1^2 + c2^2 sigma^2) / (S (S - 1)).
 
     Positive values mean the leave-one-out estimator wins. The expression
     is exact for every S >= 2; the first term carries E[f]^2, so additive
     normalisation of f matters (only the plain estimator is sensitive to
-    it), including the log sigma2_tilde/sigma2 constant inside the KL.
-    At mu=1, mu_tilde=2, sigma2 = sigma2_tilde = 1 it reduces to
-    (1 - 8/(S-1)) / (4S), which crosses zero exactly at S = 9.
+    it), including the log evidence and the log sigma2_tilde/sigma2
+    constant inside the KL. At mu=1, mu_tilde=2, sigma2 = sigma2_tilde = 1
+    and log p(x) = 0 it reduces to (1 - 8/(S-1)) / (4S), which crosses zero
+    exactly at S = 9.
     """
-    s = float(setting.S)
-    s2, s2t = setting.sigma2, setting.sigma2_tilde
-    dmu = setting.mu - setting.mu_tilde
-    c1 = dmu / s2t
+    if q_params.dim != 1 or target.dim != 1:
+        raise ValueError("delta_var_analytic needs a 1-D q and target")
+    if S < 2:
+        raise ValueError("S must be >= 2")
+    s = float(S)
+    s2, s2t = float(q_params.var[0]), float(target.post_var[0])
+    c1 = float(q_params.mean[0] - target.post_mean[0]) / s2t
     c2 = 0.5 * (1.0 / s2t - 1.0 / s2)
-    ratio = s2t / s2
-    # a ratio past the float range (1e-300 / 1e300) would take log(0) = -inf;
-    # the difference of the logs is finite there
-    log_ratio = np.log(ratio) if 0.0 < ratio < np.inf else np.log(s2t) - np.log(s2)
-    kl = 0.5 * log_ratio + (s2 + dmu**2) / (2.0 * s2t) - 0.5
-    return kl * (kl + 4.0 * c2 * s2) / (s * s2) - 2.0 * (c1**2 + c2**2 * s2) / (s * (s - 1.0))
+    ef = kl_gaussian_closed_form(q_params, target) - target.log_evidence
+    return ef * (ef + 4.0 * c2 * s2) / (s * s2) - 2.0 * (c1**2 + c2**2 * s2) / (s * (s - 1.0))
 
 
 def delta_var_large_s(dmu: float, dsigma2: float) -> float:
@@ -109,36 +91,47 @@ def _check_pair(q_params: DiagGaussianParams, target: GaussianTarget) -> None:
         raise ValueError("q and target dimensions differ")
 
 
+def convention_coordinate(
+    q_params: DiagGaussianParams, k: int, convention: str
+) -> tuple[int, float]:
+    """Where the score of latent coordinate k in a convention sits among the
+    library scores, and the squared chain factor that takes a squared
+    library score to it: (k, 1) for the mean, and the log-std coordinate
+    D + k with 1/4 for log sigma^2 (half the log-std score) or
+    1/(4 sigma_k^4) for sigma^2 (sigma_k^-2 times that)."""
+    if not 0 <= k < q_params.dim:
+        raise ValueError(f"coordinate {k} out of range for D={q_params.dim}")
+    if convention == MEAN_CONVENTION:
+        return k, 1.0
+    if convention == LOG_VARIANCE_CONVENTION:
+        return q_params.dim + k, 0.25
+    if convention == VARIANCE_CONVENTION:
+        # a power, unlike a quotient, raises OverflowError instead of giving inf
+        return q_params.dim + k, 0.25 * float(q_params.var[k]) ** -2.0
+    raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+
+
 def cov_f_score2_analytic(
     q_params: DiagGaussianParams,
     target: GaussianTarget,
     k: int,
     convention: str = MEAN_CONVENTION,
 ) -> float:
-    """Closed-form Cov_q(f, score_k^2) for coordinate k of a diagonal pair.
+    """Closed-form Cov_q(f, score_k^2) for coordinate k of a diagonal pair:
+    the squared chain factor of the convention times delta_cv_analytic and
+    score_variance_analytic at its library coordinate (Cov = delta Var).
 
     mean convention:         1/sigma_tilde_k^2 - 1/sigma_k^2
     sigma^2 convention:      (1/sigma_k^2) (1/sigma_tilde_k^2 - 1/sigma_k^2)
     log sigma^2 convention:  sigma_k^2 (1/sigma_tilde_k^2 - 1/sigma_k^2)
 
-    The three are consistent under the chain rule for squared scores,
-    (sigma^2 value) = sigma^-4 (log sigma^2 value). Only coordinate k of f
-    contributes since the coordinates are independent, and the evidence
-    constant drops out of every covariance.
+    Only coordinate k of f contributes since the coordinates are
+    independent, and the evidence constant drops out of every covariance.
     """
     _check_pair(q_params, target)
-    if not 0 <= k < q_params.dim:
-        raise ValueError(f"coordinate {k} out of range for D={q_params.dim}")
-    s2 = float(q_params.var[k])
-    s2t = float(target.post_var[k])
-    base = 1.0 / s2t - 1.0 / s2
-    if convention == MEAN_CONVENTION:
-        return base
-    if convention == VARIANCE_CONVENTION:
-        return base / s2
-    if convention == LOG_VARIANCE_CONVENTION:
-        return base * s2
-    raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    i, factor = convention_coordinate(q_params, k, convention)
+    cov = delta_cv_analytic(q_params, target)[i] * score_variance_analytic(q_params)[i]
+    return factor * float(cov)
 
 
 def score_variance_analytic(q_params: DiagGaussianParams) -> np.ndarray:

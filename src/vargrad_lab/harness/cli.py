@@ -145,7 +145,9 @@ def main(argv=None, workers: int = 1) -> int:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteGradientError, ArithmeticError) as exc:  # overflow, fp errors
-        print(f"numerical abort: {exc}", file=sys.stderr)
+        # Python's float overflow message is only an errno pair
+        reason = f"float overflow: {exc}" if isinstance(exc, OverflowError) else exc
+        print(f"numerical abort: {reason}", file=sys.stderr)
         return 3
     # ConfigError, a ValueError, is caught above
     except (ValueError, MemoryError, WorkerLostError) as exc:

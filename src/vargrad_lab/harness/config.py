@@ -102,7 +102,7 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     },
     "gaussian-oracles": {
         "oracles.grid_points": FieldSpec("grid", _DEFAULT_ORACLE_GRID),
-        "oracles.mc_draws": FieldSpec("int", 200000, minimum=2),
+        "oracles.mc_draws": FieldSpec("int", 200000, minimum=3),  # delete-one jackknife SEs
     },
     "unbiasedness": {
         "toy.dims": FieldSpec("int", 1, minimum=1),

@@ -30,7 +30,7 @@ from ..estimators import CV_TAG, REINFORCE_TAG, VARGRAD_TAG
 from ..families import DiagGaussianParams, MeanFieldBernoulliParams
 from ..gaussian_oracles import (
     CONVENTIONS,
-    Gaussian1DSetting,
+    convention_coordinate,
     cov_f_score2_analytic,
     delta_cv_analytic,
     delta_var_analytic,
@@ -191,9 +191,6 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
             q, target, split_stream(cfg.seed, "variance-sweep", i), S, R, specs
         )
         pair = analysis.paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
-        setting = Gaussian1DSetting(
-            mu=mu, mu_tilde=mu_tilde, sigma2=sigma2, sigma2_tilde=sigma2_tilde, S=S
-        )
         # the large-S sufficient condition delta / ELBO < 1/2 for the
         # leave-one-out estimator to beat Reinforce; delta = 0 meets it
         # trivially (no correction at all), even at ELBO = 0. A nonzero delta
@@ -213,7 +210,7 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
                 "var_vargrad": float(pair.report_b.per_coordinate_variance[0]),
                 "diff": float(pair.diff[0]),
                 "diff_se": float(pair.diff_se[0]),
-                "analytic": delta_var_analytic(setting),
+                "analytic": delta_var_analytic(q, target, S),
                 "condition_value": condition,
                 "condition_met": condition < 0.5,
             }
@@ -260,16 +257,13 @@ def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
     rows = []
     for i, (mu, mu_tilde, sigma2, sigma2_tilde, S) in enumerate(grid):
         q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
-        setting = Gaussian1DSetting(
-            mu=mu, mu_tilde=mu_tilde, sigma2=sigma2, sigma2_tilde=sigma2_tilde, S=S
-        )
         row = {
             "mu": mu,
             "mu_tilde": mu_tilde,
             "sigma2": sigma2,
             "sigma2_tilde": sigma2_tilde,
             "S": S,
-            "delta_var": delta_var_analytic(setting),
+            "delta_var": delta_var_analytic(q, target, S),
             "delta_var_large_s": delta_var_large_s(mu - mu_tilde, sigma2 - sigma2_tilde),
             "kl": losses.kl_gaussian_closed_form(q, target),
         }
@@ -282,13 +276,15 @@ def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
         ):
             row[f"{name}_mean"] = float(values[0])
             row[f"{name}_log_std"] = float(values[1])
-        for j, convention in enumerate(CONVENTIONS):
+        # one batch serves every convention, each a rescaled library
+        # coordinate of Cov(f, score^2); the "oracles-mean" label keeps the
+        # draws of the mean columns
+        mc = analysis.delta_cv_mc(q, target, split_stream(cfg.seed, "oracles-mean", i), n_mc)
+        for convention in CONVENTIONS:
+            k, factor = convention_coordinate(q, 0, convention)
             row[f"cov_{convention}"] = cov_f_score2_analytic(q, target, 0, convention)
-            mc, se = analysis.cov_f_score2_mc(
-                q, target, split_stream(cfg.seed, f"oracles-{convention}", i), n_mc, 0, convention
-            )
-            row[f"cov_{convention}_mc"] = mc
-            row[f"cov_{convention}_mc_se"] = se
+            row[f"cov_{convention}_mc"] = factor * float(mc.cov[k])
+            row[f"cov_{convention}_mc_se"] = factor * float(mc.cov_se[k])
         rows.append(row)
     return _write_run(cfg, rows)
 
@@ -407,6 +403,8 @@ def _logreg_step_rows(
         row["diff_reinforce_vargrad"] = float(pair.diff[k])
         row["diff_se_reinforce_vargrad"] = float(pair.diff_se[k])
         row["log_variance_loss"] = lv_loss
+        # bound_denominator is NaN where the importance-sampled KL is not positive
+        row["bound_valid"] = kl_is > 0.0
         rows.append(row)
     return rows
 

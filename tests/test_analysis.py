@@ -9,7 +9,6 @@ from scipy.optimize import minimize_scalar
 import vargrad_lab.analysis as analysis
 from vargrad_lab.analysis import (
     EstimatorSpec,
-    cov_f_score2_mc,
     delta_cv_mc,
     delta_ratio_bound,
     gaussian_sup_ratio,
@@ -36,6 +35,7 @@ from vargrad_lab.families import (
     support_states,
 )
 from vargrad_lab.gaussian_oracles import (
+    convention_coordinate,
     cov_f_score2_analytic,
     delta_cv_analytic,
     optimal_a_analytic,
@@ -480,19 +480,28 @@ def test_ordering_trivial_at_posterior(tmp_path):
 
 
 @pytest.mark.parametrize("convention", ["mean", "variance", "log_variance"])
-def test_cov_f_score2_mc_matches_quadrature(convention):
+def test_delta_cv_mc_covariance_matches_quadrature(convention):
+    # delta_cv_mc's Cov(f, score^2) on the library coordinate of the
+    # convention, times its squared chain factor, is that convention's covariance
     q, t = pair(1.0, 0.5, 0.0, 1.0)
-    got, se = cov_f_score2_mc(q, t, np.random.default_rng(119), 200_000, 0, convention)
+    rep = delta_cv_mc(q, t, np.random.default_rng(119), 200_000)
+    k, factor = convention_coordinate(q, 0, convention)
+    got, se = factor * rep.cov[k], factor * rep.cov_se[k]
     want = cov_f_score2_ref(1.0, 0.0, 0.5, 1.0, convention)
     assert abs(got - want) < 4.0 * se
     assert cov_f_score2_analytic(q, t, 0, convention) == pytest.approx(want, rel=1e-9)
 
 
-def test_cov_f_score2_mc_validates():
-    q, t = pair(0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        cov_f_score2_mc(q, t, np.random.default_rng(0), 100, 2, "mean")
-    with pytest.raises(ValueError):
-        cov_f_score2_mc(q, t, np.random.default_rng(0), 100, 0, "bogus")
-    with pytest.raises(ValueError):
-        cov_f_score2_mc(q, t, np.random.default_rng(0), 1, 0, "mean")
+def test_delta_cv_mc_covariance_is_the_delta_numerator():
+    q, t = pair(3.0, 3.0, 1.0, 1.0, d=2)
+    rep = delta_cv_mc(q, t, np.random.default_rng(120), 1000)
+    z = draw(q, np.random.default_rng(120), 1000)
+    f = log_density(q, z) - log_joint(t, z)
+    sc = score(q, z)
+    want = np.array([np.cov(f, sc[:, i] ** 2)[0, 1] for i in range(4)])
+    np.testing.assert_allclose(rep.cov, want, rtol=1e-10)
+    np.testing.assert_allclose(rep.delta_cv, rep.cov / sc.var(axis=0, ddof=1), rtol=1e-10)
+    # the jackknife SE of a covariance is the delta-method SE up to O(1/n)
+    prod = (f - f.mean())[:, None] * (sc**2 - (sc**2).mean(axis=0))
+    delta_method_se = prod.std(axis=0, ddof=1) / math.sqrt(1000)
+    np.testing.assert_allclose(rep.cov_se, delta_method_se, rtol=0.01)

@@ -213,8 +213,9 @@ def test_list_entries_below_minimum_are_config_errors(tmp_path, experiment, key,
     [
         ("delta-ratio", "delta.n_samples = 2", "delta.n_samples"),
         ("train-logreg", "logreg.dims = 2\ndiagnostics.n_delta = 2", "diagnostics.n_delta"),
+        ("gaussian-oracles", "oracles.mc_draws = 2", "oracles.mc_draws"),
     ],
-    ids=["delta-ratio", "train-logreg"],
+    ids=["delta-ratio", "train-logreg", "gaussian-oracles"],
 )
 def test_jackknife_sample_counts_below_three_are_config_errors(tmp_path, experiment, body, key):
     # the delete-one jackknife divides by n - 2, so n = 2 would write NaN
@@ -379,6 +380,29 @@ def assert_exit_3(tmp_path, experiment, body, prefix="numerical abort:"):
 )
 def test_overflow_during_a_run_is_a_numerical_abort(tmp_path, experiment, body):
     assert_exit_3(tmp_path, experiment, body)
+
+
+@pytest.mark.parametrize(
+    "experiment, body, reason",
+    [
+        # squaring the closed form's 1/sigma2 coefficient overflows a Python
+        # float, whose message is only an errno pair
+        (
+            "variance-sweep",
+            "sweep.grid_points = [[1, 2, 1e-300, 1, 2]]\nsweep.replicates = 50",
+            "float overflow: (34, 'Numerical result out of range')",
+        ),
+        # sigma2 / sigma2_tilde = 1e300 / 1e-300 overflows numpy in the KL
+        (
+            "gaussian-oracles",
+            "oracles.grid_points = [[7, -1, 1e300, 1e-300, 2]]\noracles.mc_draws = 50",
+            "overflow encountered in divide",
+        ),
+    ],
+    ids=["sweep", "oracles"],
+)
+def test_overflow_message_names_the_overflow(tmp_path, experiment, body, reason):
+    assert_exit_3(tmp_path, experiment, body, prefix=f"numerical abort: {reason}\n")
 
 
 def test_sweep_condition_is_finite_next_to_the_posterior(tmp_path, capsys):

@@ -62,8 +62,8 @@ def run(name, key, value):
 # sigma2 = 1e-300 once underflowed sigma^4 in the log-std kurtosis: a
 # RuntimeWarning on stderr before the exit
 @example(case=("gaussian-oracles", "oracles.grid_points"), value=[[0, 0, 1e-300, 1e-300, 2]])
-# sigma2_tilde / sigma2 = 1e-300 / 1e300 once underflowed to 0 in the 1-D KL
-# of delta_var_analytic, whose log printed RuntimeWarnings before the abort
+# sigma2 / sigma2_tilde = 1e300 / 1e-300 overflows in the closed-form KL;
+# an underflowed ratio once took log(0), which printed RuntimeWarnings
 @example(case=("gaussian-oracles", "oracles.grid_points"), value=[[7, -1, 1e300, 1e-300, 2]])
 # a learning rate of 0.5 diverges and once underflowed the variance to 0,
 # which printed RuntimeWarnings from the log density before the abort

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from vargrad_lab import families
 from vargrad_lab.estimators import draw_f
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
-    Gaussian1DSetting,
     cov_f_score2_analytic,
     delta_cv_analytic,
     delta_var_analytic,
@@ -21,6 +21,8 @@ from vargrad_lab.harness.experiments import RUNNERS
 from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form
 from vargrad_lab.targets import GaussianTarget, synth_logreg_dataset
+
+from test_acceptance import C10_REDUCED
 
 
 def run(tmp_path, text, name="run.cfg"):
@@ -144,15 +146,8 @@ def test_variance_sweep_reduced_grid(tmp_path):
 
     # every analytic cell reproduces the closed forms bit-for-bit
     for r in rows:
-        setting = Gaussian1DSetting(
-            mu=r["mu"],
-            mu_tilde=r["mu_tilde"],
-            sigma2=r["sigma2"],
-            sigma2_tilde=r["sigma2_tilde"],
-            S=r["S"],
-        )
-        assert r["analytic"] == delta_var_analytic(setting)
         q, t = gaussian_pair(r["mu"], r["sigma2"], r["mu_tilde"], r["sigma2_tilde"])
+        assert r["analytic"] == delta_var_analytic(q, t, r["S"])
         delta = delta_cv_analytic(q, t)[0]
         want = delta / -kl_gaussian_closed_form(q, t) if delta != 0.0 else 0.0
         assert r["condition_value"] == want
@@ -262,6 +257,37 @@ def test_gaussian_oracles_table(tmp_path):
     assert c2["delta_mean"] == pytest.approx(2.0, rel=1e-12)
     assert c2["delta_log_std"] == pytest.approx(4.0, rel=1e-12)
     assert c2["kurt_mean"] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_gaussian_oracles_conventions_share_one_batch(tmp_path, monkeypatch):
+    # one delta_cv_mc batch per grid row serves all three conventions, so
+    # the variance and log-variance columns differ by exactly sigma^-4
+    drawn = []
+    real_draw = families.draw
+
+    def draw(params, rng, n):
+        drawn.append(n)
+        return real_draw(params, rng, n)
+
+    monkeypatch.setattr(families, "draw", draw)
+    _, _, rows = run(
+        tmp_path,
+        f"""
+        experiment = gaussian-oracles
+        seed = 42
+        out = {tmp_path / 'oracles.csv'}
+        oracles.grid_points = [[3, 1, 3, 1, 4], [1, 2, 0.5, 1, 9], [0, 1, 1.7, 0.6, 2]]
+        oracles.mc_draws = 5000
+        """,
+    )
+    assert drawn == [5000] * 3
+    for r in rows:
+        assert r["cov_variance_mc"] * r["sigma2"] ** 2 == pytest.approx(
+            r["cov_log_variance_mc"], rel=1e-15
+        )
+        assert r["cov_variance_mc_se"] * r["sigma2"] ** 2 == pytest.approx(
+            r["cov_log_variance_mc_se"], rel=1e-15
+        )
 
 
 # ----------------------------------------------------------- cv comparison
@@ -398,7 +424,7 @@ def test_train_logreg_writes_the_log_variance_loss_of_the_elbo_batch(tmp_path):
     # values: at step 0, the n_elbo draws after the n_is importance draws of
     # the step's diag-evidence stream, at q = N(0, I)
     _, header, rows = run(tmp_path, TRAIN_CFG.format(seed=64, out=tmp_path / "lv.csv"))
-    assert header[-1] == "log_variance_loss"
+    assert header[-2:] == ["log_variance_loss", "bound_valid"]
     model = synth_logreg_dataset(split_stream(64, "logreg-data"), N=40, D=3)
     q = DiagGaussianParams(mean=np.zeros(4), log_std=np.zeros(4))
     rng = split_stream(64, "diag-evidence", 0)
@@ -407,6 +433,23 @@ def test_train_logreg_writes_the_log_variance_loss_of_the_elbo_batch(tmp_path):
     step0 = [r for r in rows if r["step"] == 0]
     assert {r["log_variance_loss"] for r in step0} == {0.5 * float(np.var(f, ddof=1))}
     assert all(r["log_variance_loss"] > 0.0 for r in rows)
+
+
+def test_train_logreg_flags_the_undefined_bound_denominator(tmp_path):
+    # with two importance draws the KL estimate at steps 10 and 20 is not
+    # positive, so the bound's denominator has no value there
+    lines = [line for line in C10_REDUCED["train-logreg"] if "n_is" not in line]
+    text = "\n".join(
+        ["experiment = train-logreg", "seed = 42", f"out = {tmp_path / 'b.csv'}"]
+        + lines
+        + ["diagnostics.n_is = 2"]
+    )
+    _, header, rows = run(tmp_path, text)
+    assert header[-1] == "bound_valid"
+    for r in rows:
+        assert r["bound_valid"] == (r["kl_is"] > 0.0)
+        assert math.isnan(r["bound_denominator"]) == (not r["bound_valid"])
+    assert {r["step"] for r in rows if not r["bound_valid"]} == {10, 20}
 
 
 def test_train_logreg_is_deterministic_per_seed(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
     CONVENTIONS,
-    Gaussian1DSetting,
+    convention_coordinate,
     cov_f_score2_analytic,
     delta_cv_analytic,
     delta_var_analytic,
@@ -24,7 +24,15 @@ from vargrad_lab.gaussian_oracles import (
 from vargrad_lab.losses import kl_gaussian_closed_form
 from vargrad_lab.targets import GaussianTarget
 
-from oracles import cov_f_score2_ref, delta_var_ref, gauss_expect
+from oracles import (
+    cov_f_score2_ref,
+    delta_var_ref,
+    gauss_expect,
+    gaussian_log_ratio,
+    gaussian_pair_moments,
+    reinforce_variance_ref,
+    vargrad_variance_ref,
+)
 
 
 def gauss(mean, log_std):
@@ -45,26 +53,26 @@ def pair(mu, sigma2, mu_tilde, sigma2_tilde, d=1):
 
 
 def test_delta_var_frozen_values():
-    assert delta_var_analytic(Gaussian1DSetting(1, 2, 1, 1, S=2)) == pytest.approx(
+    assert delta_var_analytic(*pair(1, 1, 2, 1), 2) == pytest.approx(
         -0.875, abs=1e-15
     )
-    assert delta_var_analytic(Gaussian1DSetting(1, 2, 1, 1, S=4)) == pytest.approx(
+    assert delta_var_analytic(*pair(1, 1, 2, 1), 4) == pytest.approx(
         -5.0 / 48.0, rel=1e-14
     )
-    assert delta_var_analytic(Gaussian1DSetting(1, 2, 1, 1, S=9)) == pytest.approx(
+    assert delta_var_analytic(*pair(1, 1, 2, 1), 9) == pytest.approx(
         0.0, abs=1e-15
     )
-    assert delta_var_analytic(Gaussian1DSetting(1, 2, 1, 1, S=100)) == pytest.approx(
+    assert delta_var_analytic(*pair(1, 1, 2, 1), 100) == pytest.approx(
         91.0 / 39600.0, rel=1e-14
     )
-    assert delta_var_analytic(Gaussian1DSetting(3, 1, 3, 1, S=4)) == pytest.approx(
+    assert delta_var_analytic(*pair(3, 3, 1, 1), 4) == pytest.approx(
         0.5951674275163273, rel=1e-13
     )
 
 
 @pytest.mark.parametrize("S", [2, 3, 4, 9, 25, 1000])
 def test_delta_var_zero_when_distributions_match(S):
-    assert delta_var_analytic(Gaussian1DSetting(0.7, 0.7, 1.3, 1.3, S=S)) == 0.0
+    assert delta_var_analytic(*pair(0.7, 1.3, 0.7, 1.3), S) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -83,7 +91,7 @@ def test_delta_var_zero_when_distributions_match(S):
     ],
 )
 def test_delta_var_matches_quadrature_reference(mu, mu_tilde, sigma2, sigma2_tilde, S):
-    got = delta_var_analytic(Gaussian1DSetting(mu, mu_tilde, sigma2, sigma2_tilde, S=S))
+    got = delta_var_analytic(*pair(mu, sigma2, mu_tilde, sigma2_tilde), S)
     want = delta_var_ref(mu, mu_tilde, sigma2, sigma2_tilde, S)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -91,15 +99,33 @@ def test_delta_var_matches_quadrature_reference(mu, mu_tilde, sigma2, sigma2_til
 def test_delta_var_large_s_scaling_limit():
     # 4 S Delta -> (Delta mu^4 + ...) / (sigma^4 sigma~^2)-style constant; at
     # (1, 2, 1, 1) the normalised product 4 S Delta tends to 1
-    val = delta_var_analytic(Gaussian1DSetting(1, 2, 1, 1, S=10_000_000))
+    val = delta_var_analytic(*pair(1, 1, 2, 1), 10_000_000)
     assert 4.0 * 10_000_000 * val == pytest.approx(1.0, abs=1e-5)
 
 
 def test_delta_var_validates_inputs():
+    q, t = pair(0, 1.0, 0, 1.0)
     with pytest.raises(ValueError):
-        Gaussian1DSetting(0, 0, -1.0, 1.0, S=4)
+        delta_var_analytic(q, t, 1)
     with pytest.raises(ValueError):
-        Gaussian1DSetting(0, 0, 1.0, 1.0, S=1)
+        delta_var_analytic(*pair(0, 1.0, 0, 1.0, d=2), 4)  # the closed form is 1-D
+    with pytest.raises(ValueError):
+        delta_var_analytic(q, pair(0, 1.0, 0, 1.0, d=2)[1], 4)
+
+
+def test_delta_var_with_evidence_matches_quadrature_reference():
+    # f = log q - log p(x, z) carries -log p(x): only the plain estimator's
+    # variance sees it, so the reference shifts f in the Reinforce moment alone
+    mu, sigma2, mu_tilde, sigma2_tilde, S, log_ev = 3.0, 3.0, 1.0, 1.0, 4, 1.5
+    q, t = pair(mu, sigma2, mu_tilde, sigma2_tilde)
+    t = GaussianTarget(post_mean=t.post_mean, post_var=t.post_var, log_evidence=log_ev)
+    f = gaussian_log_ratio(mu, mu_tilde, sigma2, sigma2_tilde)
+    mom = gaussian_pair_moments(mu, mu_tilde, sigma2, sigma2_tilde)
+    mom["raw_f2s2"] = gauss_expect(
+        lambda z: (f(z) - log_ev) ** 2 * ((z - mu) / sigma2) ** 2, mu, sigma2
+    )
+    want = reinforce_variance_ref(mom, S) - vargrad_variance_ref(mom, S)
+    assert delta_var_analytic(q, t, S) == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------- large-S sign surrogate
@@ -138,7 +164,7 @@ def test_large_s_polynomial_sign_matches_exact_gap_near_diagonal(dmu, dsigma2):
     poly = delta_var_large_s(dmu, dsigma2)
     assert abs(poly) > 0.05
     exact = delta_var_analytic(
-        Gaussian1DSetting(dmu, 0.0, 1.0 + dsigma2, 1.0, S=10_000)
+        *pair(dmu, 1.0 + dsigma2, 0.0, 1.0), 10_000
     )
     assert math.copysign(1.0, poly) == math.copysign(1.0, exact)
 
@@ -176,6 +202,15 @@ def test_cov_f_score2_chain_rule_between_conventions():
         log_var = cov_f_score2_analytic(q, t, 0, "log_variance")
         var = cov_f_score2_analytic(q, t, 0, "variance")
         assert var == pytest.approx(log_var / sigma2**2, rel=1e-13)
+
+
+def test_convention_coordinate_places_each_convention():
+    q, _ = pair(0.3, 1.7, 0.0, 1.0, d=2)
+    var = float(q.var[1])
+    assert convention_coordinate(q, 1, "mean") == (1, 1.0)
+    assert convention_coordinate(q, 1, "log_variance") == (3, 0.25)
+    index, factor = convention_coordinate(q, 1, "variance")
+    assert index == 3 and factor == pytest.approx(0.25 / var**2, rel=1e-15)
 
 
 def test_cov_f_score2_validates_inputs():
