@@ -9,28 +9,4 @@ harness quantify when the leave-one-out baseline is close to the optimal
 control variate.
 """
 
-from . import analysis, estimators, families, gaussian_oracles, losses, optim, targets
-from .estimators import build_batch, vargrad, vargrad_via_loss
-from .families import DiagGaussianParams, MeanFieldBernoulliParams
-from .targets import DiscreteToyModel, GaussianTarget, LogRegModel
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "analysis",
-    "estimators",
-    "families",
-    "gaussian_oracles",
-    "losses",
-    "optim",
-    "targets",
-    "build_batch",
-    "vargrad",
-    "vargrad_via_loss",
-    "DiagGaussianParams",
-    "MeanFieldBernoulliParams",
-    "DiscreteToyModel",
-    "GaussianTarget",
-    "LogRegModel",
-    "__version__",
-]

@@ -50,6 +50,11 @@ CV_SAMPLED_TAG = "cv_sampled"
 # replicate runs in one chunk.
 _CHUNK_SAMPLE_CAP = 1 << 15
 
+# The delete-one jackknife divides by n - 2, so every replicate count and
+# sample count it summarises must be at least this; the config schema reads
+# the same floor.
+MIN_JACKKNIFE_N = 3
+
 
 @dataclass(frozen=True)
 class DeltaReport:
@@ -171,8 +176,8 @@ def replicate_estimates(
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    if R < 2:
-        raise ValueError("R must be >= 2")
+    if R < MIN_JACKKNIFE_N:
+        raise ValueError(f"R must be >= {MIN_JACKKNIFE_N}")
     if any(s.tag == VARGRAD_TAG for s in specs) and S < 2:
         raise ValueError("the leave-one-out estimator needs S >= 2")
     names = [s.name for s in specs]
@@ -215,25 +220,24 @@ def _jackknife_stat_se(loo: np.ndarray) -> np.ndarray:
 def report_from_estimates(x: np.ndarray) -> VarianceReport:
     """Summarise an (R, P) array of replicate estimates (as produced by
     replicate_estimates) into a VarianceReport. The jackknife SEs of the
-    variances need R >= 3 and are NaN below that."""
+    variances need R >= MIN_JACKKNIFE_N."""
     return _report_and_loo(x)[0]
 
 
-def _report_and_loo(x: np.ndarray) -> tuple[VarianceReport, np.ndarray | None]:
-    """The report of x and the delete-one variances behind its SEs (None
-    when R < 3)."""
+def _report_and_loo(x: np.ndarray) -> tuple[VarianceReport, np.ndarray]:
+    """The report of x and the delete-one variances behind its SEs."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected an (R, P) estimate array")
-    if x.shape[0] < 2:
-        raise ValueError("variance needs at least 2 replicates")
     r = x.shape[0]
+    if r < MIN_JACKKNIFE_N:
+        raise ValueError(f"the jackknife needs at least {MIN_JACKKNIFE_N} replicates")
     var = np.var(x, axis=0, ddof=1)
-    loo = _loo_variances(x) if r >= 3 else None
+    loo = _loo_variances(x)
     report = VarianceReport(
         per_coordinate_variance=var,
         per_coordinate_mean=np.mean(x, axis=0),
-        standard_errors=np.full(x.shape[1], np.nan) if loo is None else _jackknife_stat_se(loo),
+        standard_errors=_jackknife_stat_se(loo),
         mean_standard_errors=np.sqrt(var) / np.sqrt(r),
     )
     return report, loo
@@ -251,15 +255,11 @@ def paired_difference_from_estimates(xa: np.ndarray, xb: np.ndarray) -> PairedVa
         raise ValueError("expected two (R, P) arrays of equal shape")
     report_a, loo_a = _report_and_loo(xa)
     report_b, loo_b = _report_and_loo(xb)
-    if loo_a is None:
-        diff_se = np.full(xa.shape[1], np.nan)
-    else:
-        diff_se = _jackknife_stat_se(loo_a - loo_b)
     return PairedVarianceDifference(
         report_a=report_a,
         report_b=report_b,
         diff=report_a.per_coordinate_variance - report_b.per_coordinate_variance,
-        diff_se=diff_se,
+        diff_se=_jackknife_stat_se(loo_a - loo_b),
     )
 
 
@@ -272,8 +272,8 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
     is accepted for diagnostics. SEs are delete-one jackknife on the
     covariance and ratio statistics themselves.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if n < MIN_JACKKNIFE_N:
+        raise ValueError(f"n must be >= {MIN_JACKKNIFE_N}")
     z, f = draw_f(params, target, rng, n)
     sc = families.score(params, z)
     y = sc**2

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from ..analysis import MIN_JACKKNIFE_N
+
 EXPERIMENTS = (
     "train-logreg",
     "variance-sweep",
@@ -80,21 +82,21 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "logreg.train_s": FieldSpec("int", 4, minimum=2),
         "optimizer.learning_rate": FieldSpec("float", 0.001, minimum=1e-12),
         "logging.every": FieldSpec("int", 10, minimum=1),
-        "diagnostics.n_delta": FieldSpec("int", 2000, minimum=3),  # delete-one jackknife SEs
+        "diagnostics.n_delta": FieldSpec("int", 2000, minimum=MIN_JACKKNIFE_N),
         "diagnostics.n_is": FieldSpec("int", 10000, minimum=2),
         "diagnostics.n_elbo": FieldSpec("int", 2000, minimum=2),
-        "diagnostics.variance_replicates": FieldSpec("int", 1000, minimum=3),
+        "diagnostics.variance_replicates": FieldSpec("int", 1000, minimum=MIN_JACKKNIFE_N),
         "diagnostics.variance_s": FieldSpec("int", 4, minimum=2),
         "diagnostics.cv_extra_samples": FieldSpec("int", 2, minimum=2),
         "diagnostics.cv_oracle_samples": FieldSpec("int", 1000, minimum=2),
     },
     "variance-sweep": {
         "sweep.grid_points": FieldSpec("grid", _DEFAULT_SWEEP_GRID),
-        "sweep.replicates": FieldSpec("int", 100000, minimum=3),
+        "sweep.replicates": FieldSpec("int", 100000, minimum=MIN_JACKKNIFE_N),
     },
     "delta-ratio": {
         "delta.dims": FieldSpec("list_int", [1, 3, 10, 30], minimum=1),
-        "delta.n_samples": FieldSpec("int", 2000, minimum=3),  # delete-one jackknife SEs
+        "delta.n_samples": FieldSpec("int", 2000, minimum=MIN_JACKKNIFE_N),
         "delta.mu": FieldSpec("float", 3.0),
         "delta.sigma2": FieldSpec("float", 3.0, minimum=1e-12),
         "delta.mu_tilde": FieldSpec("float", 1.0),
@@ -102,20 +104,20 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     },
     "gaussian-oracles": {
         "oracles.grid_points": FieldSpec("grid", _DEFAULT_ORACLE_GRID),
-        "oracles.mc_draws": FieldSpec("int", 200000, minimum=3),  # delete-one jackknife SEs
+        "oracles.mc_draws": FieldSpec("int", 200000, minimum=MIN_JACKKNIFE_N),
     },
     "unbiasedness": {
         "toy.dims": FieldSpec("int", 1, minimum=1),
         "toy.posterior": FieldSpec("probs", None),
         "toy.logits": FieldSpec("list_float", None),
         "toy.s": FieldSpec("int", 4, minimum=2),
-        "toy.replicates": FieldSpec("int", 100000, minimum=3),
+        "toy.replicates": FieldSpec("int", 100000, minimum=MIN_JACKKNIFE_N),
         "toy.estimators": FieldSpec("list_str", ["reinforce", "cv", "vargrad"]),
     },
     "cv-comparison": {
         "cv.dims": FieldSpec("list_int", [3, 30], minimum=1),
         "cv.s_grid": FieldSpec("list_int", [2, 4, 8, 16, 32], minimum=2),
-        "cv.replicates": FieldSpec("int", 1000, minimum=3),
+        "cv.replicates": FieldSpec("int", 1000, minimum=MIN_JACKKNIFE_N),
         "cv.mu": FieldSpec("float", 3.0),
         "cv.sigma2": FieldSpec("float", 3.0, minimum=1e-12),
         "cv.mu_tilde": FieldSpec("float", 1.0),
@@ -212,9 +214,16 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
         ):
             fail("a non-empty list of numbers")
         return [to_float(v) for v in value]
-    if kind == "list_str":
+    if kind == "list_str":  # estimator names from the default list, each once
         if not isinstance(value, list) or not value or any(not isinstance(v, str) for v in value):
             fail("a non-empty list of strings")
+        for name in value:
+            if name not in spec.default:
+                raise ConfigError(
+                    f"key '{key}': unknown estimator {name!r}; choose from {', '.join(spec.default)}"
+                )
+        if len(set(value)) != len(value):
+            raise ConfigError(f"key '{key}': estimator names must be unique, got {value}")
         return list(value)
     if kind == "probs":
         if not isinstance(value, list) or not value or any(

@@ -36,6 +36,11 @@ BINARY_ROUND_TOL = 1e-9
 # takes OpenBLAS's small-matrix kernel, which moves that block's last bits.
 _LOGREG_BLOCK_ROWS = 1024
 
+# Prior variances of the logistic-regression weights and bias, the
+# distributions synth_logreg_dataset draws them from.
+PRIOR_W_VAR = 25.0
+PRIOR_B_VAR = 1.0
+
 
 def logsumexp(a) -> float:
     """log(sum(exp(a))) over all entries of a, by scipy.special.logsumexp's formula.
@@ -96,14 +101,12 @@ class LogRegModel:
     """Bayesian logistic regression, full batch.
 
     The latent is z = (w_1..w_D, b), dimension D + 1. Priors are zero-mean
-    isotropic Gaussians with variances prior_w_var (weights) and prior_b_var
+    isotropic Gaussians with variances PRIOR_W_VAR (weights) and PRIOR_B_VAR
     (bias).
     """
 
     X: np.ndarray
     y: np.ndarray
-    prior_w_var: float = 25.0
-    prior_b_var: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
@@ -116,8 +119,6 @@ class LogRegModel:
             raise ValueError("X entries must lie in [-1, 1]")
         if not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise ValueError("labels must be 0/1")
-        if self.prior_w_var <= 0.0 or self.prior_b_var <= 0.0:
-            raise ValueError("prior variances must be positive")
 
     @property
     def n_data(self) -> int:
@@ -161,10 +162,6 @@ class DiscreteToyModel:
     @property
     def log_evidence(self) -> float:
         return logsumexp(self.log_joint_table)
-
-    @property
-    def posterior_probs(self) -> np.ndarray:
-        return np.exp(self.log_joint_table - self.log_evidence)
 
     @classmethod
     def from_posterior(cls, posterior_probs, log_evidence: float = 0.0) -> "DiscreteToyModel":
@@ -224,8 +221,8 @@ def _logreg_log_joint(target: LogRegModel, z: np.ndarray) -> np.ndarray:
     d = target.n_features
     n = z.shape[0]
     label = z @ np.append(target.y @ target.X, target.y.sum())
-    const_w = 0.5 * d * np.log(2.0 * np.pi * target.prior_w_var)
-    const_b = 0.5 * np.log(2.0 * np.pi * target.prior_b_var)
+    const_w = 0.5 * d * np.log(2.0 * np.pi * PRIOR_W_VAR)
+    const_b = 0.5 * np.log(2.0 * np.pi * PRIOR_B_VAR)
     starts = range(0, max(n - _LOGREG_BLOCK_ROWS, 0) + 1, _LOGREG_BLOCK_ROWS)
     ends = [*starts[1:], n]  # the last block is the longest
     eta = np.empty((n - starts[-1], target.n_data))
@@ -242,8 +239,8 @@ def _logreg_log_joint(target: LogRegModel, z: np.ndarray) -> np.ndarray:
         np.log1p(s, out=s)
         s += np.maximum(e, 0.0, out=e)
         loglik = label[lo:hi] - np.sum(s, axis=-1)
-        log_prior_w = -0.5 * np.sum(w**2, axis=-1) / target.prior_w_var - const_w
-        log_prior_b = -0.5 * b[:, 0] ** 2 / target.prior_b_var - const_b
+        log_prior_w = -0.5 * np.sum(w**2, axis=-1) / PRIOR_W_VAR - const_w
+        log_prior_b = -0.5 * b[:, 0] ** 2 / PRIOR_B_VAR - const_b
         out[lo:hi] = loglik + log_prior_w + log_prior_b
     return out
 

@@ -182,8 +182,9 @@ def test_replicate_means_track_exact_gradient():
 
 def test_replicate_estimates_validation():
     q, t = pair(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        replicate_estimates(q, t, np.random.default_rng(0), 4, 1, SPEC_RV)
+    for r in (1, 2):  # below the jackknife floor
+        with pytest.raises(ValueError):
+            replicate_estimates(q, t, np.random.default_rng(0), 4, r, SPEC_RV)
     with pytest.raises(ValueError):
         EstimatorSpec(name="x", tag="nonsense")
     with pytest.raises(ValueError):
@@ -216,11 +217,15 @@ def test_jackknife_variance_se_matches_normal_theory():
 
 
 def test_report_smallest_replicate_counts():
-    x = np.zeros((2, 1))
-    rep = report_from_estimates(x)
-    assert np.isnan(rep.standard_errors[0])  # jackknife needs R >= 3
+    # the delete-one jackknife divides by R - 2, so R = 3 is the smallest count
+    assert analysis.MIN_JACKKNIFE_N == 3
+    rep = report_from_estimates(np.array([[0.0], [1.0], [3.0]]))
+    assert np.all(np.isfinite(rep.standard_errors))
+    for r in (1, 2):
+        with pytest.raises(ValueError):
+            report_from_estimates(np.zeros((r, 1)))
     with pytest.raises(ValueError):
-        report_from_estimates(np.zeros((1, 1)))
+        paired_difference_from_estimates(np.zeros((2, 1)), np.ones((2, 1)))
 
 
 def test_estimator_variance_zero_at_posterior():
@@ -339,10 +344,12 @@ def test_delta_cv_mc_flags_degenerate_scores():
     assert np.isnan(rep.delta_cv[0])
 
 
-def test_delta_cv_mc_needs_two_samples():
+def test_delta_cv_mc_needs_three_samples():
+    # at n = 2 the delete-one covariance divides by zero
     q, t = pair(0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        delta_cv_mc(q, t, np.random.default_rng(0), 1)
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            delta_cv_mc(q, t, np.random.default_rng(0), n)
 
 
 # ------------------------------------------------------------- ratio bound

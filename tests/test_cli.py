@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import vargrad_lab
-from vargrad_lab import analysis
+from vargrad_lab import analysis, targets
 from vargrad_lab.harness import cli
 from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.optim import NonFiniteGradientError
@@ -214,13 +214,45 @@ def test_list_entries_below_minimum_are_config_errors(tmp_path, experiment, key,
         ("delta-ratio", "delta.n_samples = 2", "delta.n_samples"),
         ("train-logreg", "logreg.dims = 2\ndiagnostics.n_delta = 2", "diagnostics.n_delta"),
         ("gaussian-oracles", "oracles.mc_draws = 2", "oracles.mc_draws"),
+        (
+            "train-logreg",
+            "logreg.dims = 2\ndiagnostics.variance_replicates = 2",
+            "diagnostics.variance_replicates",
+        ),
+        ("variance-sweep", "sweep.replicates = 2", "sweep.replicates"),
+        ("unbiasedness", "toy.replicates = 2", "toy.replicates"),
+        ("cv-comparison", "cv.replicates = 2", "cv.replicates"),
     ],
-    ids=["delta-ratio", "train-logreg", "gaussian-oracles"],
+    ids=[
+        "delta-ratio",
+        "train-logreg",
+        "gaussian-oracles",
+        "train-logreg-variance-replicates",
+        "variance-sweep",
+        "unbiasedness",
+        "cv-comparison",
+    ],
 )
 def test_jackknife_sample_counts_below_three_are_config_errors(tmp_path, experiment, body, key):
     # the delete-one jackknife divides by n - 2, so n = 2 would write NaN
-    # standard errors on rows that are flagged valid
+    # standard errors; the schema floor is analysis.MIN_JACKKNIFE_N
     assert_config_error(tmp_path, experiment, body, key)
+
+
+def test_unknown_estimator_is_refused_before_the_enumeration(tmp_path, capsys, monkeypatch):
+    # toy.dims = 20 enumerates 2^20 states; a bad estimator name must stop
+    # the run at parse time, before any of that work
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("exact_kl_and_gradient ran for a config with a bad estimator")
+
+    monkeypatch.setattr(targets, "exact_kl_and_gradient", no_enumeration)
+    body = 'experiment = unbiasedness\nseed = 1\ntoy.dims = 20\ntoy.estimators = ["bogus"]\n'
+    out = tmp_path / "x.csv"
+    code = cli.main(["unbiasedness", "--config", str(write_cfg(tmp_path, body)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown estimator 'bogus'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

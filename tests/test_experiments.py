@@ -122,7 +122,11 @@ def test_unbiasedness_config_errors(tmp_path):
     expect_error("toy.dims = 21\n", "must be <= 20")
     expect_error("toy.posterior = [0.5, 0.5]\ntoy.dims = 2\n", "2\\^dims")
     expect_error("toy.logits = [0.0, 0.0]\n", "needs dims")
-    expect_error('toy.estimators = ["bogus"]\n', "unknown estimator")
+    # estimator names are checked by the config, before the runner starts
+    path = tmp_path / "bad.cfg"
+    path.write_text(base + 'toy.estimators = ["bogus"]\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown estimator 'bogus'; choose from reinforce, cv"):
+        parse_config(path)
 
 
 # ----------------------------------------------------------- variance sweep
@@ -371,9 +375,8 @@ def test_cv_comparison_rejects_unknown_estimator(tmp_path):
         'cv.estimators = ["mystery"]\n',
         encoding="utf-8",
     )
-    cfg = parse_config(path)
-    with pytest.raises(ConfigError, match="unknown estimator"):
-        RUNNERS[cfg.experiment](cfg)
+    with pytest.raises(ConfigError, match="unknown estimator 'mystery'"):
+        parse_config(path)
 
 
 # ------------------------------------------------------------- train logreg
