@@ -195,7 +195,9 @@ def log_density(params: Params, z) -> np.ndarray | float:
             raise ValueError("Bernoulli latents must be exactly 0 or 1")
         logit = params.clipped_logits
         # z*log(theta) + (1-z)*log(1-theta) == z*logit - softplus(logit)
-        out = np.sum(z * logit - np.logaddexp(0.0, logit), axis=-1)
+        terms = z * logit
+        terms -= np.logaddexp(0.0, logit)  # in place: one (..., D) temporary
+        out = np.sum(terms, axis=-1)
         return out if out.ndim else float(out)
     raise TypeError(f"unknown family: {type(params).__name__}")
 
@@ -226,13 +228,14 @@ def support_states(d: int) -> np.ndarray:
     coordinate k reading bit k (z_0 is the least significant bit)."""
     if d > MAX_ENUM_DIM:
         raise ValueError(f"refusing to enumerate 2^{d} states (limit D <= {MAX_ENUM_DIM})")
-    idx = np.arange(2**d, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(d)) & 1).astype(float)
+    # int32 holds every index up to 2^MAX_ENUM_DIM; the mask is applied in place
+    bits = np.arange(2**d, dtype=np.int32)[:, None] >> np.arange(d, dtype=np.int32)
+    bits &= 1
+    return bits.astype(float)
 
 
-def support_probs(params: MeanFieldBernoulliParams) -> np.ndarray:
-    """(2^D,) exact state probabilities under the clamped parameters."""
-    states = support_states(params.dim)
+def support_probs(params: MeanFieldBernoulliParams, states: np.ndarray) -> np.ndarray:
+    """(2^D,) exact probabilities of the support_states(D) rows under the clamped parameters."""
     theta = params.probs
     return np.prod(np.where(states == 1.0, theta, 1.0 - theta), axis=1)
 

@@ -2,55 +2,44 @@
 
 Files start with '# key = value' metadata lines, written in the order
 given (the experiment runners pass the resolved config, then the values
-the run computed), then a header row, then data rows. Floats are written with 17 significant
-digits so a round trip through text reproduces the exact double, newlines
-are LF, and the encoding is UTF-8. Identical inputs must produce
-byte-identical files.
+the run computed), then the header, then the rows: tuples with one cell per
+header column. A cell is a Python float (np.float64 is one), bool, int or
+str. Floats are written with 17 significant digits so a round trip through
+text reproduces the exact double, bools as 1 and 0, newlines are LF, and
+the encoding is UTF-8. Identical inputs must produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Any, Mapping
-
-import numpy as np
+from typing import Any, Mapping, Sequence
 
 
 def format_cell(value: Any) -> str:
-    if type(value) is float:  # most cells; %.17g already spells nan, inf and -inf
+    if isinstance(value, float):  # most cells; %.17g already spells nan, inf and -inf
         return f"{value:.17g}"
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, str):
-        return value
+    if isinstance(value, (int, str)):
+        return str(value)
     raise TypeError(f"cannot format {type(value).__name__} cell: {value!r}")
 
 
 def write_csv(
-    path,
-    rows: list[Mapping[str, Any]],
-    metadata: Mapping[str, Any] | None = None,
+    path, header: Sequence[str], rows: list[tuple], metadata: Mapping[str, Any] | None = None
 ) -> None:
-    """Write rows under a header taken from the first row's keys, in order;
-    every other row must have exactly the same keys."""
-    if not rows or not rows[0]:
-        raise ValueError("write_csv needs at least one row with at least one column")
-    columns = list(rows[0])
+    """Write the rows under header; every row must have the header's width."""
+    if not header or not rows:
+        raise ValueError("write_csv needs at least one column and one row")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key} = {format_cell(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(header)
         for row in rows:
-            if row.keys() != rows[0].keys():
-                missing = set(columns) - set(row)
-                extra = set(row) - set(columns)
-                raise ValueError(f"row/header mismatch: missing {missing}, extra {extra}")
-            writer.writerow([format_cell(row[c]) for c in columns])
+            if len(row) != len(header):
+                raise ValueError(f"row width {len(row)} != header width {len(header)}")
+            writer.writerow([format_cell(v) for v in row])
 
 
 def _parse_scalar(text: str) -> Any:

@@ -8,11 +8,11 @@ seed are byte-identical.
 
 train-logreg runs in two stages. The SGD loop runs serially and records the
 parameters at step 0 and at every logging.every steps. Each recorded step is
-then turned into its diagnostic rows by _logreg_step_rows, which reads only
-(cfg, model, t, parameters) and its own split_stream(seed, label, t)
-streams. The steps can therefore run in any process and in any order; their
-rows are joined in step order and written once, so the bytes do not depend
-on the worker count.
+then turned into its block of diagnostic columns by _logreg_step_block,
+which reads only (cfg, model, t, parameters) and its own
+split_stream(seed, label, t) streams. The steps can therefore run in any
+process and in any order; their blocks are joined in step order and
+written once, so the bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -70,15 +70,29 @@ def _z_score(mean: float, exact: float, se: float) -> float:
     return math.inf
 
 
-def _write_run(cfg: ExperimentConfig, rows: list[dict], **computed: Any) -> str:
-    """Write rows to cfg.out under '#' lines: experiment, seed and every
-    resolved option in config syntax (values as JSON), so that with '# '
-    stripped those lines are a config that reproduces the file; then the
-    values the run computed."""
+def _block_rows(block: dict[str, Any]) -> Iterator[tuple]:
+    """The tuple rows of one block: a list, range or array holds one value
+    per row, any other value fills its column. Arrays become Python lists."""
+    columns = [v.tolist() if isinstance(v, np.ndarray) else v for v in block.values()]
+    n = max((len(c) for c in columns if isinstance(c, (list, range))), default=1)
+    return zip(*(c if isinstance(c, (list, range)) else [c] * n for c in columns), strict=True)
+
+
+def _write_run(cfg: ExperimentConfig, blocks: list[dict[str, Any]], **computed: Any) -> str:
+    """Write the blocks to cfg.out under the first block's column names,
+    which every block repeats in order, below '#' lines: experiment, seed and
+    every resolved option in config syntax (values as JSON), which with '# '
+    stripped reproduce the file, then the values the run computed."""
+    header = list(blocks[0])
+    rows = []
+    for block in blocks:
+        if list(block) != header:
+            raise ValueError(f"block columns {list(block)} differ from the header {header}")
+        rows.extend(_block_rows(block))
     metadata = {"experiment": cfg.experiment, "seed": cfg.seed}
     metadata.update((key, json.dumps(value)) for key, value in cfg.options.items())
     metadata.update(computed)
-    write_csv(cfg.out, rows, metadata)
+    write_csv(cfg.out, header, rows, metadata)
     return cfg.out
 
 
@@ -141,31 +155,30 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
         params, model, split_stream(cfg.seed, "unbiasedness"), S, R, specs
     )
     labels = families.param_labels(params)
-    rows = []
+    blocks = []
     for spec in specs:
         report = analysis.report_from_estimates(ests[spec.name])
         mean, se = report.per_coordinate_mean, report.mean_standard_errors
-        for k in range(params.num_params):
-            z = _z_score(float(mean[k]), float(exact_grad[k]), float(se[k]))
-            rows.append(
-                {
-                    "estimator": spec.name,
-                    "coord": k,
-                    "label": labels[k],
-                    "exact_grad": float(exact_grad[k]),
-                    "replicate_mean": float(mean[k]),
-                    "mean_se": float(se[k]),
-                    "z_score": z,
-                    "within_4se": abs(z) < 4.0,
-                }
-            )
-    return _write_run(cfg, rows, exact_kl=kl, cv_coefficient=a_const)
+        z = [_z_score(*cells) for cells in zip(mean.tolist(), exact_grad.tolist(), se.tolist())]
+        blocks.append(
+            {
+                "estimator": spec.name,
+                "coord": range(params.num_params),
+                "label": labels,
+                "exact_grad": exact_grad,
+                "replicate_mean": mean,
+                "mean_se": se,
+                "z_score": z,
+                "within_4se": [abs(v) < 4.0 for v in z],
+            }
+        )
+    return _write_run(cfg, blocks, exact_kl=kl, cv_coefficient=a_const)
 
 
 def run_variance_sweep(cfg: ExperimentConfig) -> str:
     grid = cfg["sweep.grid_points"]
     R = cfg["sweep.replicates"]
-    rows = []
+    blocks = []
     for i, (mu, mu_tilde, sigma2, sigma2_tilde, S) in enumerate(grid):
         q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
         specs = [
@@ -184,7 +197,7 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
         elbo = target.log_evidence - losses.kl_gaussian_closed_form(q, target)
         condition = delta / elbo if delta != 0.0 else 0.0
         # coordinate 0 is the mean derivative, the coordinate the closed form covers
-        rows.append(
+        blocks.append(
             {
                 "mu": mu,
                 "mu_tilde": mu_tilde,
@@ -200,14 +213,14 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
                 "condition_met": condition < 0.5,
             }
         )
-    return _write_run(cfg, rows, coordinate="mean_0")
+    return _write_run(cfg, blocks, coordinate="mean_0")
 
 
 def run_delta_ratio(cfg: ExperimentConfig) -> str:
     mu, sigma2 = cfg["delta.mu"], cfg["delta.sigma2"]
     mu_tilde, sigma2_tilde = cfg["delta.mu_tilde"], cfg["delta.sigma2_tilde"]
     n = cfg["delta.n_samples"]
-    rows = []
+    blocks = []
     for d in cfg["delta.dims"]:
         q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=d)
         report = analysis.delta_cv_mc(q, target, split_stream(cfg.seed, "delta-ratio", d), n)
@@ -215,31 +228,31 @@ def run_delta_ratio(cfg: ExperimentConfig) -> str:
         a_pop = losses.kl_gaussian_closed_form(q, target) - target.log_evidence
         # at q = posterior both coefficient expectations are 0 and no ratio exists
         ratio_defined = a_pop != 0.0 and report.a_vargrad_expectation != 0.0
-        labels = families.param_labels(q)
-        for k in range(q.num_params):
-            rows.append(
-                {
-                    "dims": d,
-                    "coord": k,
-                    "label": labels[k],
-                    "delta_mc": float(report.delta_cv[k]),
-                    "delta_se": float(report.delta_se[k]),
-                    "delta_analytic": float(delta_pop[k]),
-                    "a_expectation_mc": report.a_vargrad_expectation,
-                    "a_expectation_analytic": a_pop,
-                    "ratio_abs_mc": abs(float(report.ratio[k])),
-                    "ratio_se": float(report.ratio_se[k]),
-                    "ratio_abs_analytic": abs(float(delta_pop[k]) / a_pop) if a_pop else math.nan,
-                    "valid": bool(report.valid[k]) and ratio_defined,
-                }
-            )
-    return _write_run(cfg, rows)
+        # Python floats, whose division gives inf where numpy's would raise
+        ratio_pop = [abs(v / a_pop) for v in delta_pop.tolist()] if a_pop else math.nan
+        blocks.append(
+            {
+                "dims": d,
+                "coord": range(q.num_params),
+                "label": families.param_labels(q),
+                "delta_mc": report.delta_cv,
+                "delta_se": report.delta_se,
+                "delta_analytic": delta_pop,
+                "a_expectation_mc": report.a_vargrad_expectation,
+                "a_expectation_analytic": a_pop,
+                "ratio_abs_mc": np.abs(report.ratio),
+                "ratio_se": report.ratio_se,
+                "ratio_abs_analytic": ratio_pop,
+                "valid": report.valid & ratio_defined,
+            }
+        )
+    return _write_run(cfg, blocks)
 
 
 def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
     grid = cfg["oracles.grid_points"]
     n_mc = cfg["oracles.mc_draws"]
-    rows = []
+    blocks = []
     for i, (mu, mu_tilde, sigma2, sigma2_tilde, S) in enumerate(grid):
         q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
         row = {
@@ -270,8 +283,8 @@ def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
             row[f"cov_{convention}"] = cov_f_score2_analytic(q, target, 0, convention)
             row[f"cov_{convention}_mc"] = factor * float(mc.cov[k])
             row[f"cov_{convention}_mc_se"] = factor * float(mc.cov_se[k])
-        rows.append(row)
-    return _write_run(cfg, rows)
+        blocks.append(row)
+    return _write_run(cfg, blocks)
 
 
 def run_cv_comparison(cfg: ExperimentConfig) -> str:
@@ -279,7 +292,7 @@ def run_cv_comparison(cfg: ExperimentConfig) -> str:
     mu_tilde, sigma2_tilde = cfg["cv.mu_tilde"], cfg["cv.sigma2_tilde"]
     R = cfg["cv.replicates"]
     a_grid = cfg["cv.a_grid"] or []
-    rows = []
+    blocks = []
     for d in cfg["cv.dims"]:
         q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=d)
         a_star = optimal_a_analytic(q, target)
@@ -298,33 +311,31 @@ def run_cv_comparison(cfg: ExperimentConfig) -> str:
             )
             for spec in specs:
                 report = analysis.report_from_estimates(ests[spec.name])
-                for k in range(q.num_params):
-                    rows.append(
-                        {
-                            "dims": d,
-                            "S": S,
-                            "estimator": spec.name,
-                            "a_value": a_values[spec.name],
-                            "coord": k,
-                            "label": labels[k],
-                            "variance": float(report.per_coordinate_variance[k]),
-                            "variance_se": float(report.standard_errors[k]),
-                            "mean": float(report.per_coordinate_mean[k]),
-                            "mean_se": float(report.mean_standard_errors[k]),
-                        }
-                    )
-    return _write_run(cfg, rows)
+                blocks.append(
+                    {
+                        "dims": d,
+                        "S": S,
+                        "estimator": spec.name,
+                        "a_value": a_values[spec.name],
+                        "coord": range(q.num_params),
+                        "label": labels,
+                        "variance": report.per_coordinate_variance,
+                        "variance_se": report.standard_errors,
+                        "mean": report.per_coordinate_mean,
+                        "mean_se": report.mean_standard_errors,
+                    }
+                )
+    return _write_run(cfg, blocks)
 
 
-def _logreg_step_rows(
+def _logreg_step_block(
     cfg: ExperimentConfig, model: targets.LogRegModel, step: tuple[int, np.ndarray]
-) -> list[dict]:
-    """The diagnostic rows of one logged step (t, phi), one per parameter
-    coordinate of q = phi. Every stream is split_stream(seed, label, t), so
-    the rows depend only on (cfg, model, t, phi)."""
+) -> dict[str, Any]:
+    """The diagnostic block of one logged step (t, phi), one row per
+    parameter coordinate of q = phi. Every stream is split_stream(seed,
+    label, t), so the block depends only on (cfg, model, t, phi)."""
     t, phi = step
     q = DiagGaussianParams.from_vector(phi)
-    labels = families.param_labels(q)
     log_ev, elbo, lv_loss = losses.evidence_and_elbo(
         q,
         model,
@@ -368,36 +379,33 @@ def _logreg_step_rows(
     for s in specs:
         if s.name not in reports:
             reports[s.name] = analysis.report_from_estimates(ests[s.name])
-    rows = []
-    for k in range(q.num_params):
-        row = {
-            "step": t,
-            "coord": k,
-            "label": labels[k],
-            "elbo": elbo,
-            "log_evidence_is": log_ev,
-            "kl_is": kl_is,
-            "bound_denominator": denom,
-            "delta_abs_ratio": abs(float(delta.ratio[k])),
-            "delta_ratio_se": float(delta.ratio_se[k]),
-            "delta_valid": bool(delta.valid[k]),
-        }
-        for name in ("reinforce", "vargrad", "cv_sampled", "cv_oracle"):
-            row[f"var_{name}"] = float(reports[name].per_coordinate_variance[k])
-            row[f"var_{name}_se"] = float(reports[name].standard_errors[k])
-        row["diff_reinforce_vargrad"] = float(pair.diff[k])
-        row["diff_se_reinforce_vargrad"] = float(pair.diff_se[k])
-        row["log_variance_loss"] = lv_loss
-        # bound_denominator is NaN where the importance-sampled KL is not positive
-        row["bound_valid"] = kl_is > 0.0
-        rows.append(row)
-    return rows
+    block = {
+        "step": t,
+        "coord": range(q.num_params),
+        "label": families.param_labels(q),
+        "elbo": elbo,
+        "log_evidence_is": log_ev,
+        "kl_is": kl_is,
+        "bound_denominator": denom,
+        "delta_abs_ratio": np.abs(delta.ratio),
+        "delta_ratio_se": delta.ratio_se,
+        "delta_valid": delta.valid,
+    }
+    for name in ("reinforce", "vargrad", "cv_sampled", "cv_oracle"):
+        block[f"var_{name}"] = reports[name].per_coordinate_variance
+        block[f"var_{name}_se"] = reports[name].standard_errors
+    block["diff_reinforce_vargrad"] = pair.diff
+    block["diff_se_reinforce_vargrad"] = pair.diff_se
+    block["log_variance_loss"] = lv_loss
+    # bound_denominator is NaN where the importance-sampled KL is not positive
+    block["bound_valid"] = kl_is > 0.0
+    return block
 
 
 def run_train_logreg(cfg: ExperimentConfig, workers: int = 1) -> str:
     """Train, then diagnose: the SGD loop runs here and records the
     parameters at step 0 and every logging.every steps; each recorded step
-    then becomes its rows through _logreg_step_rows, on up to workers
+    then becomes its block through _logreg_step_block, on up to workers
     processes. The CSV bytes do not depend on workers."""
     model = targets.synth_logreg_dataset(
         split_stream(cfg.seed, "logreg-data"), N=cfg["logreg.n_data"], D=cfg["logreg.dims"]
@@ -416,9 +424,8 @@ def run_train_logreg(cfg: ExperimentConfig, workers: int = 1) -> str:
         if t % every == 0:
             trajectory.append((t, phi))
 
-    step_rows = functools.partial(_logreg_step_rows, cfg, model)
-    blocks = fork_map(step_rows, trajectory, workers)
-    return _write_run(cfg, [row for block in blocks for row in block])
+    step_block = functools.partial(_logreg_step_block, cfg, model)
+    return _write_run(cfg, fork_map(step_block, trajectory, workers))
 
 
 RUNNERS = {

@@ -276,7 +276,7 @@ def exact_kl_and_gradient(
     if discrete.dim != params.dim:
         raise ValueError(f"dimension mismatch: model D={discrete.dim}, params D={params.dim}")
     states = support_states(discrete.dim)
-    q = support_probs(params)
+    q = support_probs(params, states)
     log_q = log_density(params, states)
     log_post = discrete.log_joint_table - discrete.log_evidence
     r = log_q - log_post

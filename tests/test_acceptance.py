@@ -129,7 +129,7 @@ def test_c02_loss_gradient_identity_and_exact_pair_expectation():
     q = MeanFieldBernoulliParams(logits=np.array([0.6]))
     _, grad = exact_kl_and_gradient(target, q)
     states = families.support_states(1)
-    probs = families.support_probs(q)
+    probs = families.support_probs(q, states)
     expectation = np.zeros(1)
     for i in range(2):
         for j in range(2):

@@ -308,7 +308,7 @@ def test_delta_cv_mc_matches_enumeration_on_discrete_target():
     model = DiscreteToyModel.from_posterior(np.array([0.1, 0.3, 0.15, 0.45]))
     q = MeanFieldBernoulliParams(logits=np.array([0.4, -0.7]))
     states = support_states(2)
-    probs = support_probs(q)
+    probs = support_probs(q, states)
     f = np.array(
         [float(log_density(q, s)) for s in states]
     ) - model.log_joint_table

@@ -187,7 +187,7 @@ def test_cli_runs_load_numpy_only(tmp_path):
     assert [line.strip() for line in block.splitlines() if line.strip()] == ['"numpy>=1.24",']
 
 
-def test_console_script(tmp_path):
+def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "script.csv"
     proc = run_module(["unbiasedness", "--config", str(cfg), "--out", str(out)])

@@ -15,9 +15,9 @@ from vargrad_lab.gaussian_oracles import (
     delta_var_analytic,
     optimal_a_analytic,
 )
-from vargrad_lab.harness.config import ConfigError, parse_config
+from vargrad_lab.harness.config import ConfigError, ExperimentConfig, parse_config
 from vargrad_lab.harness.csvio import read_csv
-from vargrad_lab.harness.experiments import RUNNERS
+from vargrad_lab.harness.experiments import RUNNERS, _write_run
 from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form
 from vargrad_lab.targets import GaussianTarget, synth_logreg_dataset
@@ -464,3 +464,42 @@ def test_train_logreg_is_deterministic_per_seed(tmp_path):
     c = (tmp_path / "c.csv").read_bytes()
     assert a == b
     assert a != c
+
+
+# --------------------------------------------------------------- _write_run
+
+
+def write_blocks(tmp_path, blocks):
+    cfg = ExperimentConfig(experiment="demo", seed=1, out=str(tmp_path / "blocks.csv"))
+    return read_csv(_write_run(cfg, blocks, note="x"))
+
+
+def test_write_run_block_of_scalars_is_one_row(tmp_path):
+    metadata, header, rows = write_blocks(
+        tmp_path,
+        [
+            {"a": 1.5, "b": "x", "c": True},
+            {"a": np.float64(2.5), "b": "y", "c": False},
+        ],
+    )
+    assert metadata == {"experiment": "demo", "seed": "1", "note": "x"}
+    assert header == ["a", "b", "c"]
+    assert rows == [{"a": 1.5, "b": "x", "c": 1}, {"a": 2.5, "b": "y", "c": 0}]
+
+
+def test_write_run_refuses_columns_of_unequal_length(tmp_path):
+    for block in ({"k": range(3), "v": np.zeros(2)}, {"a": [1.0], "b": [1.0, 2.0], "c": 0}):
+        with pytest.raises(ValueError):
+            write_blocks(tmp_path, [block])
+
+
+def test_write_run_refuses_blocks_whose_columns_differ_from_the_first(tmp_path):
+    first = {"a": [1, 2], "b": 0.5}
+    for other in (
+        {"b": 0.5, "a": [3]},  # same names, other order
+        {"a": [3]},
+        {"a": [3], "c": 0.5},
+        {"a": [3], "b": 0.5, "c": 1},
+    ):
+        with pytest.raises(ValueError, match="differ"):
+            write_blocks(tmp_path, [first, other])

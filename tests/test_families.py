@@ -145,7 +145,7 @@ def test_gaussian_density_normalises():
 
 def test_bernoulli_probs_normalise_exactly():
     b = bern([0.3, -1.2, 0.7])
-    assert support_probs(b).sum() == pytest.approx(1.0, abs=1e-12)
+    assert support_probs(b, support_states(3)).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------------------------- score
@@ -243,10 +243,10 @@ def test_draw_validates_sample_count():
 def test_enumerate_support_small_cases():
     b = bern([math.log(0.3 / 0.7)])  # theta = 0.3
     np.testing.assert_array_equal(support_states(1), [[0.0], [1.0]])
-    np.testing.assert_allclose(support_probs(b), [0.7, 0.3], atol=1e-12)
+    np.testing.assert_allclose(support_probs(b, support_states(1)), [0.7, 0.3], atol=1e-12)
 
     b2 = bern([0.0, 0.0])
-    probs = support_probs(b2)
+    probs = support_probs(b2, support_states(2))
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
 
@@ -259,8 +259,9 @@ def test_support_states_bit_order():
 
 def test_support_probs_match_density():
     b = bern([0.4, -0.9, 1.3])
-    probs = support_probs(b)
-    for state, p in zip(support_states(3), probs):
+    states = support_states(3)
+    probs = support_probs(b, states)
+    for state, p in zip(states, probs):
         assert math.log(p) == pytest.approx(float(log_density(b, state)), abs=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -268,8 +269,6 @@ def test_support_probs_match_density():
 def test_enumeration_dimension_cap():
     with pytest.raises(ValueError):
         support_states(MAX_ENUM_DIM + 1)
-    with pytest.raises(ValueError):
-        support_probs(bern(np.zeros(MAX_ENUM_DIM + 1)))
 
 
 # ----------------------------------------------------------------- kurtosis
