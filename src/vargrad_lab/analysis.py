@@ -1,4 +1,4 @@
-"""Diagnostics: correction terms, ratio bounds, and variance measurement.
+"""Diagnostics: weighted moments, correction terms, ratio bounds, and variance measurement.
 
 The quantities here quantify how far the leave-one-out estimator's implicit
 batch-mean coefficient sits from the per-coordinate optimal control-variate
@@ -35,7 +35,7 @@ from .estimators import (
 from .families import DiagGaussianParams, Params, gaussian_score_kurtosis_analytic
 # log_joint is no longer called here, but perfbench/checks.py reads the
 # analysis.log_joint binding, so it stays importable from this module.
-from .targets import GaussianTarget, Target, log_joint  # noqa: F401
+from .targets import DiscreteToyModel, GaussianTarget, Target, log_joint  # noqa: F401
 
 CV_SAMPLED_TAG = "cv_sampled"
 
@@ -263,6 +263,23 @@ def paired_difference_from_estimates(xa: np.ndarray, xb: np.ndarray) -> PairedVa
     )
 
 
+def moments(f: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple:
+    """E f, then per coordinate E s, E s^2, E[f s] and E[f s^2], for f (n,)
+    and scores s (n, P) under weights w (n,) that sum to 1: w = 1/n over n
+    draws gives the Monte Carlo moments, w = q(z) over an enumerated support
+    the exact ones."""
+    wf = w * f
+    s2 = s**2
+    return w @ f, w @ s, w @ s2, wf @ s, wf @ s2
+
+
+def _cov_and_var(ef, es, es2, efs2, n: int):
+    """Cov(f, s^2) and Var(s), both ddof = 1, from the 1/n-weighted moments
+    of n draws."""
+    c = n / (n - 1)
+    return c * (efs2 - ef * es2), c * (es2 - es**2)
+
+
 def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int) -> DeltaReport:
     """Correction term per coordinate from n shared draws.
 
@@ -276,35 +293,56 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
         raise ValueError(f"n must be >= {MIN_JACKKNIFE_N}")
     z, f = draw_f(params, target, rng, n)
     sc = families.score(params, z)
-    y = sc**2
-    sx, sy, sxy = f.sum(), y.sum(axis=0), f @ y
-    sw = sc.sum(axis=0)
-    cov = (sxy - sx * sy / n) / (n - 1)
-    var = (sy - sw**2 / n) / (n - 1)
+    ef, es, es2, _, efs2 = moments(f, sc, np.full(n, 1.0 / n))
+    cov, var = _cov_and_var(ef, es, es2, efs2, n)
     valid = var > 0.0
     delta = np.where(valid, cov / np.where(valid, var, 1.0), np.nan)
-    a_exp = sx / n
+    a_exp = float(ef)
     ratio = delta / a_exp if a_exp != 0.0 else np.full_like(delta, np.nan)
 
-    # Leave-one-out recomputation from the running sums, O(n P).
-    m = n - 1
-    cov_t = (sxy - f[:, None] * y - (sx - f)[:, None] * (sy - y) / m) / (m - 1)
-    var_t = _loo_variances(sc)
+    # Row i holds the moments without draw i, (n m - x_i) / (n - 1): O(n P).
+    y = sc**2
+    ef_t = ((n * ef - f) / (n - 1))[:, None]
+    loo = [(n * m - x) / (n - 1) for m, x in ((es, sc), (es2, y), (efs2, f[:, None] * y))]
+    del z, sc, y, f  # not read below; freeing them lowers the peak of the (n, P) temporaries
+    cov_t, var_t = _cov_and_var(ef_t, *loo, n - 1)
+    del loo
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_t = cov_t / var_t
-        ratio_t = delta_t / ((sx - f) / m)[:, None]
+        ratio_t = delta_t / ef_t
     delta_se = np.where(valid, _jackknife_stat_se(delta_t), np.nan)
     ratio_se = np.where(valid, _jackknife_stat_se(ratio_t), np.nan)
     return DeltaReport(
         delta_cv=delta,
         delta_se=delta_se,
-        a_vargrad_expectation=float(a_exp),
+        a_vargrad_expectation=a_exp,
         ratio=ratio,
         ratio_se=ratio_se,
         valid=valid,
         cov=cov,
         cov_se=_jackknife_stat_se(cov_t),
     )
+
+
+def exact_kl_and_gradient(
+    discrete: DiscreteToyModel, params: families.MeanFieldBernoulliParams
+) -> tuple[float, np.ndarray]:
+    """KL(q || posterior) and its exact logit gradient, by enumeration.
+
+    The moments under w = q(z) over all 2^D states, of r(z) = log q(z) -
+    log p(z|x) and the scores z - theta: KL = E_q r, and the gradient is the
+    score-times-integrand form d KL / d logit_k = E_q[(z_k - theta_k) r(z)],
+    exact here because the expectation is a finite sum. The score-mean-zero
+    identity removes the term from differentiating log q inside r.
+    """
+    if discrete.dim != params.dim:
+        raise ValueError(f"dimension mismatch: model D={discrete.dim}, params D={params.dim}")
+    states = families.support_states(discrete.dim)
+    q = families.support_probs(params, states)
+    r = families.log_density(params, states) - (discrete.log_joint_table - discrete.log_evidence)
+    states -= params.probs  # the scores, in place
+    kl, _, _, grad, _ = moments(r, states, q)
+    return float(kl), grad
 
 
 def gaussian_sup_ratio(q_params: DiagGaussianParams, target: GaussianTarget) -> float:

@@ -147,7 +147,7 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
         raise ConfigError(f"toy.logits needs dims = {d} entries, got {len(logits)}")
     params = MeanFieldBernoulliParams(logits=np.asarray(logits, dtype=float))
 
-    kl, exact_grad = targets.exact_kl_and_gradient(model, params)
+    kl, exact_grad = analysis.exact_kl_and_gradient(model, params)
     a_const = kl - model.log_evidence  # population mean of f, the fixed CV coefficient
     S, R = cfg["toy.s"], cfg["toy.replicates"]
     specs = _estimator_specs(cfg["toy.estimators"], np.full(params.num_params, a_const), S)
@@ -189,10 +189,10 @@ def run_variance_sweep(cfg: ExperimentConfig) -> str:
             q, target, split_stream(cfg.seed, "variance-sweep", i), S, R, specs
         )
         pair = analysis.paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
-        # the large-S sufficient condition delta / ELBO < 1/2 for the
-        # leave-one-out estimator to beat Reinforce; delta = 0 meets it
-        # trivially (no correction at all), even at ELBO = 0. A nonzero delta
-        # over ELBO = 0 has no value: ZeroDivisionError, a numerical abort.
+        # for E f = -ELBO != 0, delta / ELBO < 1/2 is exactly A > 0, A the
+        # large-S term of delta_var_analytic: VarGrad beats Reinforce past
+        # S* = 1 + B / A. delta = 0 meets it trivially, even at ELBO = 0; a
+        # nonzero delta over ELBO = 0 is a ZeroDivisionError, a numerical abort.
         delta = float(delta_cv_analytic(q, target)[0])
         elbo = target.log_evidence - losses.kl_gaussian_closed_form(q, target)
         condition = delta / elbo if delta != 0.0 else 0.0

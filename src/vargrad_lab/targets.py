@@ -5,8 +5,9 @@ Gaussian posterior and a declared log-evidence, so every divergence in the
 library is available in closed form against it. LogRegModel is full-batch
 Bayesian logistic regression on a synthetic dataset. DiscreteToyModel stores
 log p(x, z) for every binary state explicitly, which makes brute-force
-enumeration of posteriors, KL values and exact gradients trivial; it is the
-oracle substrate for the unbiasedness checks.
+enumeration of posteriors, KL values and exact gradients trivial
+(analysis.exact_kl_and_gradient); it is the oracle substrate for the
+unbiasedness checks.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (
-    MAX_ENUM_DIM,
-    MeanFieldBernoulliParams,
-    expit,
-    gaussian_log_density,
-    log_density,
-    support_probs,
-    support_states,
-)
+from .families import MAX_ENUM_DIM, expit, gaussian_log_density
 
 # Latents fed to DiscreteToyModel.log_joint must sit on {0,1} up to this
 # tolerance; anything further off errors instead of being thresholded.
@@ -262,24 +255,3 @@ def synth_logreg_dataset(rng: np.random.Generator, N: int = 100, D: int = 10) ->
     y = (rng.random(N) < p).astype(float)
     return LogRegModel(X=X, y=y)
 
-
-def exact_kl_and_gradient(
-    discrete: DiscreteToyModel, params: MeanFieldBernoulliParams
-) -> tuple[float, np.ndarray]:
-    """KL(q || posterior) and its exact logit gradient, by enumeration.
-
-    Writing r(z) = log q(z) - log p(z|x), the gradient uses the score-times-
-    integrand form: d KL / d logit_k = E_q[(z_k - theta_k) r(z)], which is
-    exact here because the expectation is a finite sum. The score-mean-zero
-    identity removes the term from differentiating log q inside r.
-    """
-    if discrete.dim != params.dim:
-        raise ValueError(f"dimension mismatch: model D={discrete.dim}, params D={params.dim}")
-    states = support_states(discrete.dim)
-    q = support_probs(params, states)
-    log_q = log_density(params, states)
-    log_post = discrete.log_joint_table - discrete.log_evidence
-    r = log_q - log_post
-    kl = float(np.dot(q, r))
-    grad = (q * r) @ (states - params.probs)
-    return kl, grad

@@ -23,6 +23,7 @@ from vargrad_lab.analysis import (
     EstimatorSpec,
     delta_cv_mc,
     delta_ratio_bound,
+    exact_kl_and_gradient,
     paired_difference_from_estimates,
     replicate_estimates,
 )
@@ -43,11 +44,7 @@ from vargrad_lab.harness.config import parse_config
 from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form
-from vargrad_lab.targets import (
-    DiscreteToyModel,
-    GaussianTarget,
-    exact_kl_and_gradient,
-)
+from vargrad_lab.targets import DiscreteToyModel, GaussianTarget
 
 
 def gaussian_pair(mu, s2, mut, s2t, log_ev=0.0, d=1):

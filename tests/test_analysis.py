@@ -344,6 +344,46 @@ def test_delta_cv_mc_flags_degenerate_scores():
     assert np.isnan(rep.delta_cv[0])
 
 
+def jackknife_se(values):
+    n = len(values)
+    values = np.asarray(values)
+    return np.sqrt((n - 1) / n * np.sum((values - values.mean(axis=0)) ** 2, axis=0))
+
+
+@pytest.mark.parametrize(
+    "q, target",
+    [
+        pair(1.0, 0.5, 0.0, 1.0),
+        (
+            MeanFieldBernoulliParams(logits=np.array([0.2, -0.3])),
+            DiscreteToyModel.from_posterior(np.array([0.1, 0.3, 0.15, 0.45])),
+        ),
+    ],
+    ids=["gaussian", "bernoulli"],
+)
+def test_delta_cv_mc_jackknife_matches_brute_force(q, target):
+    # the delete-one moments (n m - x_i) / (n - 1) against a recomputation
+    # of Cov(f, s^2), Var(s) and E f on every np.delete subset
+    n, seed = 7, 121
+    rep = delta_cv_mc(q, target, np.random.default_rng(seed), n)
+    z = draw(q, np.random.default_rng(seed), n)
+    f = log_density(q, z) - log_joint(target, z)
+    sc = score(q, z)
+    cov_t, delta_t, ratio_t = [], [], []
+    for i in range(n):
+        fi, si = np.delete(f, i), np.delete(sc, i, axis=0)
+        assert np.all(si.var(axis=0) > 0)  # every subset has a delta
+        cov = np.array([np.cov(fi, si[:, k] ** 2)[0, 1] for k in range(q.num_params)])
+        delta = cov / si.var(axis=0, ddof=1)
+        cov_t.append(cov)
+        delta_t.append(delta)
+        ratio_t.append(delta / fi.mean())
+    assert np.all(rep.valid)
+    np.testing.assert_allclose(rep.cov_se, jackknife_se(cov_t), rtol=1e-10)
+    np.testing.assert_allclose(rep.delta_se, jackknife_se(delta_t), rtol=1e-10)
+    np.testing.assert_allclose(rep.ratio_se, jackknife_se(ratio_t), rtol=1e-10)
+
+
 def test_delta_cv_mc_needs_three_samples():
     # at n = 2 the delete-one covariance divides by zero
     q, t = pair(0.0, 1.0, 0.0, 1.0)
@@ -441,7 +481,7 @@ def test_bound_dominates_measured_ratio():
 
 # -------------------------------------------------------- variance ordering
 #
-# The large-S sufficient condition delta / ELBO < 1/2 and the measured
+# The large-S condition delta / ELBO < 1/2 (exact for E f != 0) and the measured
 # ordering at the same S are the condition_value, condition_met and diff
 # columns of a variance-sweep row.
 

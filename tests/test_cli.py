@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import vargrad_lab
-from vargrad_lab import analysis, targets
+from vargrad_lab import analysis
 from vargrad_lab.harness import cli
 from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.optim import NonFiniteGradientError
@@ -245,7 +245,7 @@ def test_unknown_estimator_is_refused_before_the_enumeration(tmp_path, capsys, m
     def no_enumeration(*args, **kwargs):
         raise AssertionError("exact_kl_and_gradient ran for a config with a bad estimator")
 
-    monkeypatch.setattr(targets, "exact_kl_and_gradient", no_enumeration)
+    monkeypatch.setattr(analysis, "exact_kl_and_gradient", no_enumeration)
     body = 'experiment = unbiasedness\nseed = 1\ntoy.dims = 20\ntoy.estimators = ["bogus"]\n'
     out = tmp_path / "x.csv"
     code = cli.main(["unbiasedness", "--config", str(write_cfg(tmp_path, body)), "--out", str(out)])
@@ -360,9 +360,11 @@ def test_one_blas_thread_limits_a_loaded_openblas():
 
 
 def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # delta_cv_mc's (n, P) matrix products at 20000 draws and 60 parameters
-    # are large enough for a threaded OpenBLAS to split their sums, which
-    # moves the last bits of delta_mc; every run uses one BLAS thread
+    # delta_cv_mc's moments are the (n,) @ (n, P) products of
+    # analysis.moments; at 20000 draws and 60 parameters they are large
+    # enough for a threaded OpenBLAS to split their sums, which moves the
+    # last bits of delta_mc (with _one_blas_thread a no-op, 1 and 2 threads
+    # write different bytes); every run uses one BLAS thread
     cfg = write_cfg(
         tmp_path,
         "experiment = delta-ratio\nseed = 1\ndelta.dims = [30]\ndelta.n_samples = 20000\n",

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vargrad_lab import estimators
+from vargrad_lab.analysis import exact_kl_and_gradient
 from vargrad_lab.estimators import (
     CV_TAG,
     REINFORCE_TAG,
@@ -25,12 +26,7 @@ from vargrad_lab.families import (
     log_density,
     score,
 )
-from vargrad_lab.targets import (
-    DiscreteToyModel,
-    GaussianTarget,
-    exact_kl_and_gradient,
-    log_joint,
-)
+from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, log_joint
 
 from oracles import enumerate_batches
 

@@ -171,6 +171,31 @@ def test_variance_sweep_reduced_grid(tmp_path):
     assert by_s[16]["var_vargrad"] < 1e-15
 
 
+def test_variance_sweep_condition_is_the_sign_of_the_large_s_term(tmp_path):
+    # delta_var_analytic is D(S) = A / S - B / (S (S - 1)), so
+    # S D(S) = A - B / (S - 1) and A = 2 (3 D(3)) - 2 D(2). For E f != 0,
+    # condition_met is exactly A > 0: VarGrad then beats Reinforce for every
+    # S past S* = 1 + B / A
+    _, _, rows = run(
+        tmp_path,
+        f"""
+        experiment = variance-sweep
+        seed = 22
+        out = {tmp_path / 'sweep.csv'}
+        sweep.replicates = 3
+        """,
+    )
+    met = []
+    for r in rows:
+        q, t = gaussian_pair(r["mu"], r["sigma2"], r["mu_tilde"], r["sigma2_tilde"])
+        if kl_gaussian_closed_form(q, t) - t.log_evidence == 0.0:
+            continue
+        a = 6.0 * delta_var_analytic(q, t, 3) - 2.0 * delta_var_analytic(q, t, 2)
+        assert r["condition_met"] == (a > 0.0), r
+        met.append(r["condition_met"])
+    assert len(met) == 12 and set(met) == {0, 1}
+
+
 # -------------------------------------------------------------- delta ratio
 
 

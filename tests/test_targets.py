@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 from scipy.special import expit
 
+from vargrad_lab.analysis import exact_kl_and_gradient
 from vargrad_lab.families import MeanFieldBernoulliParams, support_states
 from vargrad_lab.targets import (
     PRIOR_B_VAR,
@@ -14,7 +15,6 @@ from vargrad_lab.targets import (
     DiscreteToyModel,
     GaussianTarget,
     LogRegModel,
-    exact_kl_and_gradient,
     log_joint,
     logsumexp,
     synth_logreg_dataset,
