@@ -10,14 +10,14 @@ worker process that died).
 
 Every run sets BLAS to one thread, so the CSV bytes do not depend on the
 machine's CPU count. Run as a program, train-logreg evaluates its logged
-steps on one forked worker per usable CPU; main() called in-process runs
-them serially unless given a worker count.
+steps, and variance-sweep its replicate spans, on one forked worker per
+usable CPU; main() called in-process runs them serially unless given a
+worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import platform
 import sys
@@ -115,9 +115,9 @@ def _one_blas_thread() -> None:
 
 
 def main(argv=None, workers: int = 1) -> int:
-    """Run one subcommand and return its exit code. train-logreg evaluates
-    its logged steps on up to workers forked processes; at 1 it runs them
-    in this process."""
+    """Run one subcommand and return its exit code. train-logreg and
+    variance-sweep run their tasks on up to workers forked processes; at 1
+    they run them in this process."""
     args = build_parser().parse_args(argv)
     _set_allocator_policy()
     _one_blas_thread()
@@ -131,13 +131,10 @@ def main(argv=None, workers: int = 1) -> int:
         cfg = cfg.with_overrides(seed=args.seed, out=args.out)
         if cfg.out is None:
             raise ConfigError("no output path: set 'out' in the config or pass --out")
-        run = RUNNERS[cfg.experiment]
-        if cfg.experiment == "train-logreg":  # the one runner with a worker pool
-            run = functools.partial(run, workers=workers)
         # an overflow aborts instead of writing inf; pool workers are forked
         # inside this block, so they inherit it
         with np.errstate(over="raise"):
-            out = run(cfg)
+            out = RUNNERS[cfg.experiment](cfg, workers=workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

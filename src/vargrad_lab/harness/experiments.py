@@ -13,10 +13,16 @@ which reads only (cfg, model, t, parameters) and its own
 split_stream(seed, label, t) streams. The steps can therefore run in any
 process and in any order; their blocks are joined in step order and
 written once, so the bytes do not depend on the worker count.
+
+variance-sweep cuts each grid row's replicates into fixed spans of
+_SPAN_REPLICATES, each drawn from its own jump of the row's stream, and
+maps every (row, span) task of the run through one pool. Its bytes do not
+depend on the worker count either.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -25,7 +31,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .. import analysis, estimators, families, losses, optim, targets
-from ..analysis import CV_SAMPLED_TAG, EstimatorSpec
+from ..analysis import CV_SAMPLED_TAG, MIN_JACKKNIFE_N, EstimatorSpec
 from ..estimators import CV_TAG, REINFORCE_TAG, VARGRAD_TAG
 from ..families import DiagGaussianParams, MeanFieldBernoulliParams
 from ..gaussian_oracles import (
@@ -126,7 +132,7 @@ def _estimator_specs(names: list[str], a_fixed: np.ndarray, S: int) -> list[Esti
     return specs
 
 
-def run_unbiasedness(cfg: ExperimentConfig) -> str:
+def run_unbiasedness(cfg: ExperimentConfig, workers: int = 1) -> str:
     d = cfg["toy.dims"]
     if d > families.MAX_ENUM_DIM:
         raise ConfigError(
@@ -175,48 +181,92 @@ def run_unbiasedness(cfg: ExperimentConfig) -> str:
     return _write_run(cfg, blocks, exact_kl=kl, cv_coefficient=a_const)
 
 
-def run_variance_sweep(cfg: ExperimentConfig) -> str:
+# Replicates per task of variance-sweep. Span k of grid row i draws from
+# split_stream(seed, "variance-sweep", i) jumped k times (about 2^127 draws per
+# jump), so the bytes depend on this value wherever sweep.replicates exceeds
+# it, but not on the worker count. 2^13 cuts the default grid's 1e5
+# replicates into 13 spans per row: enough tasks to keep two workers busy,
+# few enough that the per-task cost stays small.
+_SPAN_REPLICATES = 1 << 13
+
+_SWEEP_SPECS = [
+    EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
+    EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
+]
+
+
+def _sweep_spans(R: int) -> list[tuple[int, int]]:
+    """The (start, stop) replicate spans of one sweep row: _SPAN_REPLICATES
+    each, the last one to R. A remainder below MIN_JACKKNIFE_N, which
+    replicate_estimates refuses, joins the span before it."""
+    starts = list(range(0, R - MIN_JACKKNIFE_N + 1, _SPAN_REPLICATES))
+    return list(zip(starts, starts[1:] + [R]))
+
+
+def _sweep_span(
+    cfg: ExperimentConfig, task: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mean_0 column of the Reinforce and VarGrad estimates of task
+    (row i, span k, n replicates), drawn from the k-th jump of row i's
+    stream; it depends only on (cfg, task)."""
+    i, k, n = task
+    mu, mu_tilde, sigma2, sigma2_tilde, S = cfg["sweep.grid_points"][i]
+    q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
+    row_stream = split_stream(cfg.seed, "variance-sweep", i)
+    rng = np.random.Generator(row_stream.bit_generator.jumped(k))
+    ests = analysis.replicate_estimates(q, target, rng, S, n, _SWEEP_SPECS)
+    # coordinate 0 is the mean derivative, the coordinate the closed form covers
+    return ests["reinforce"][:, 0].copy(), ests["vargrad"][:, 0].copy()
+
+
+def run_variance_sweep(cfg: ExperimentConfig, workers: int = 1) -> str:
+    """Every (row, span) task of the grid goes through one fork_map on up to
+    workers processes. The results arrive in task order and fill each row's
+    (R, 1) columns; a row is summarised as soon as its last span is in, so
+    at most one row's replicates are held at a time."""
     grid = cfg["sweep.grid_points"]
     R = cfg["sweep.replicates"]
+    spans = _sweep_spans(R)
+    tasks = [
+        (i, k, stop - start) for i in range(len(grid)) for k, (start, stop) in enumerate(spans)
+    ]
     blocks = []
-    for i, (mu, mu_tilde, sigma2, sigma2_tilde, S) in enumerate(grid):
-        q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
-        specs = [
-            EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
-            EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
-        ]
-        ests = analysis.replicate_estimates(
-            q, target, split_stream(cfg.seed, "variance-sweep", i), S, R, specs
-        )
-        pair = analysis.paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
-        # for E f = -ELBO != 0, delta / ELBO < 1/2 is exactly A > 0, A the
-        # large-S term of delta_var_analytic: VarGrad beats Reinforce past
-        # S* = 1 + B / A. delta = 0 meets it trivially, even at ELBO = 0; a
-        # nonzero delta over ELBO = 0 is a ZeroDivisionError, a numerical abort.
-        delta = float(delta_cv_analytic(q, target)[0])
-        elbo = target.log_evidence - losses.kl_gaussian_closed_form(q, target)
-        condition = delta / elbo if delta != 0.0 else 0.0
-        # coordinate 0 is the mean derivative, the coordinate the closed form covers
-        blocks.append(
-            {
-                "mu": mu,
-                "mu_tilde": mu_tilde,
-                "sigma2": sigma2,
-                "sigma2_tilde": sigma2_tilde,
-                "S": S,
-                "var_reinforce": float(pair.report_a.per_coordinate_variance[0]),
-                "var_vargrad": float(pair.report_b.per_coordinate_variance[0]),
-                "diff": float(pair.diff[0]),
-                "diff_se": float(pair.diff_se[0]),
-                "analytic": delta_var_analytic(q, target, S),
-                "condition_value": condition,
-                "condition_met": condition < 0.5,
-            }
-        )
+    span_fn = functools.partial(_sweep_span, cfg)
+    with contextlib.closing(fork_map(span_fn, tasks, workers)) as results:
+        for mu, mu_tilde, sigma2, sigma2_tilde, S in grid:
+            xa, xb = np.empty((R, 1)), np.empty((R, 1))
+            for start, stop in spans:
+                xa[start:stop, 0], xb[start:stop, 0] = next(results)
+            pair = analysis.paired_difference_from_estimates(xa, xb)
+            del xa, xb
+            q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
+            # for E f = -ELBO != 0, delta / ELBO < 1/2 is exactly A > 0, A the
+            # large-S term of delta_var_analytic: VarGrad beats Reinforce past
+            # S* = 1 + B / A. delta = 0 meets it trivially, even at ELBO = 0; a
+            # nonzero delta over ELBO = 0 is a ZeroDivisionError, a numerical abort.
+            delta = float(delta_cv_analytic(q, target)[0])
+            elbo = target.log_evidence - losses.kl_gaussian_closed_form(q, target)
+            condition = delta / elbo if delta != 0.0 else 0.0
+            blocks.append(
+                {
+                    "mu": mu,
+                    "mu_tilde": mu_tilde,
+                    "sigma2": sigma2,
+                    "sigma2_tilde": sigma2_tilde,
+                    "S": S,
+                    "var_reinforce": float(pair.report_a.per_coordinate_variance[0]),
+                    "var_vargrad": float(pair.report_b.per_coordinate_variance[0]),
+                    "diff": float(pair.diff[0]),
+                    "diff_se": float(pair.diff_se[0]),
+                    "analytic": delta_var_analytic(q, target, S),
+                    "condition_value": condition,
+                    "condition_met": condition < 0.5,
+                }
+            )
     return _write_run(cfg, blocks, coordinate="mean_0")
 
 
-def run_delta_ratio(cfg: ExperimentConfig) -> str:
+def run_delta_ratio(cfg: ExperimentConfig, workers: int = 1) -> str:
     mu, sigma2 = cfg["delta.mu"], cfg["delta.sigma2"]
     mu_tilde, sigma2_tilde = cfg["delta.mu_tilde"], cfg["delta.sigma2_tilde"]
     n = cfg["delta.n_samples"]
@@ -249,7 +299,7 @@ def run_delta_ratio(cfg: ExperimentConfig) -> str:
     return _write_run(cfg, blocks)
 
 
-def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
+def run_gaussian_oracles(cfg: ExperimentConfig, workers: int = 1) -> str:
     grid = cfg["oracles.grid_points"]
     n_mc = cfg["oracles.mc_draws"]
     blocks = []
@@ -287,7 +337,7 @@ def run_gaussian_oracles(cfg: ExperimentConfig) -> str:
     return _write_run(cfg, blocks)
 
 
-def run_cv_comparison(cfg: ExperimentConfig) -> str:
+def run_cv_comparison(cfg: ExperimentConfig, workers: int = 1) -> str:
     mu, sigma2 = cfg["cv.mu"], cfg["cv.sigma2"]
     mu_tilde, sigma2_tilde = cfg["cv.mu_tilde"], cfg["cv.sigma2_tilde"]
     R = cfg["cv.replicates"]
@@ -425,9 +475,12 @@ def run_train_logreg(cfg: ExperimentConfig, workers: int = 1) -> str:
             trajectory.append((t, phi))
 
     step_block = functools.partial(_logreg_step_block, cfg, model)
-    return _write_run(cfg, fork_map(step_block, trajectory, workers))
+    return _write_run(cfg, list(fork_map(step_block, trajectory, workers)))
 
 
+# Every runner is called as run(cfg, workers). train-logreg and
+# variance-sweep map their work over up to workers forked processes; the
+# others run in the calling process and ignore workers.
 RUNNERS = {
     "train-logreg": run_train_logreg,
     "variance-sweep": run_variance_sweep,

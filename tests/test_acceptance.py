@@ -400,6 +400,24 @@ def test_c10_train_logreg_bytes_do_not_depend_on_workers(tmp_path):
     assert multiprocessing.active_children() == []
 
 
+def test_c10_variance_sweep_bytes_do_not_depend_on_workers(tmp_path):
+    """Two sweep rows of 20000 replicates, three replicate spans each, write
+    the same bytes serially and on 2 or 3 worker processes."""
+    lines = [
+        "experiment = variance-sweep",
+        "seed = 42",
+        "sweep.grid_points = [[1, 2, 1, 1, 4], [3, 1, 3, 1, 2]]",
+        "sweep.replicates = 20000",
+    ]
+    outs = [
+        run_subcommand(tmp_path, "variance-sweep", lines, tmp_path / f"w{w}.csv", workers=w)
+        for w in (1, 2, 3)
+    ]
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+    assert outs[2].read_bytes() == outs[0].read_bytes()
+    assert multiprocessing.active_children() == []
+
+
 def test_c10_single_logged_step_starts_no_pool(tmp_path, monkeypatch):
     """With logreg.steps < logging.every only step 0 is logged, and it runs
     in this process whatever the worker count."""

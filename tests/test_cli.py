@@ -100,7 +100,7 @@ def test_unwritable_output_directory(tmp_path, capsys):
 def test_numerical_abort_exit_code(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, CFG + f"out = {tmp_path / 'u.csv'}\n")
 
-    def blow_up(_cfg):
+    def blow_up(_cfg, workers):
         raise NonFiniteGradientError("non-finite gradient at step 3")
 
     monkeypatch.setitem(cli.RUNNERS, "unbiasedness", blow_up)
@@ -504,6 +504,36 @@ def _fail_at_step_0(monkeypatch, fail):
     monkeypatch.setattr(analysis, "delta_cv_mc", delta_cv_mc)
 
 
+# variance-sweep with two rows of two replicate spans each (8192 and 3000
+# replicates), so the pool runs parts of one row at once
+SWEEP_TWO_SPANS = """
+experiment = variance-sweep
+seed = 5
+sweep.grid_points = [[1, 2, 1, 1, 4], [3, 1, 3, 1, 2]]
+sweep.replicates = 11192
+"""
+
+
+def _fail_in_second_row(monkeypatch, fail):
+    """Make replicate_estimates call fail() in the spans of the second sweep
+    row, the one at S = 2, and run normally in the first."""
+    real = analysis.replicate_estimates
+
+    def replicate_estimates(params, target, rng, S, *args, **kwargs):
+        if S == 2:
+            fail()
+        return real(params, target, rng, S, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "replicate_estimates", replicate_estimates)
+
+
+# per pooled subcommand: the config and the failure injection of its test
+POOLED = {
+    "train-logreg": (LOGREG_3_STEPS, _fail_at_step_0),
+    "variance-sweep": (SWEEP_TWO_SPANS, _fail_in_second_row),
+}
+
+
 def _overflow():
     np.float64(1e308) * 10.0  # raises under the CLI's errstate
 
@@ -515,15 +545,22 @@ def _kill_this_worker(parent=os.getpid()):
 
 
 @pytest.mark.parametrize(
-    "fail, prefix",
-    [(_overflow, "numerical abort:"), (_kill_this_worker, "run error:")],
-    ids=["overflow", "killed"],
+    "experiment, fail, prefix",
+    [
+        pytest.param("train-logreg", _overflow, "numerical abort:", id="overflow"),
+        pytest.param("train-logreg", _kill_this_worker, "run error:", id="killed"),
+        pytest.param("variance-sweep", _overflow, "numerical abort:", id="sweep-overflow"),
+        pytest.param("variance-sweep", _kill_this_worker, "run error:", id="sweep-killed"),
+    ],
 )
-def test_worker_failure_is_exit_3_with_no_csv(tmp_path, capfd, monkeypatch, fail, prefix):
-    _fail_at_step_0(monkeypatch, fail)
-    cfg = write_cfg(tmp_path, LOGREG_3_STEPS)
+def test_worker_failure_is_exit_3_with_no_csv(
+    tmp_path, capfd, monkeypatch, experiment, fail, prefix
+):
+    body, inject = POOLED[experiment]
+    inject(monkeypatch, fail)
+    cfg = write_cfg(tmp_path, body)
     out = tmp_path / "x.csv"
-    code = cli.main(["train-logreg", "--config", str(cfg), "--out", str(out)], workers=2)
+    code = cli.main([experiment, "--config", str(cfg), "--out", str(out)], workers=2)
     err = capfd.readouterr().err
     assert code == 3, err
     assert err.startswith(prefix) and err.count("\n") == 1
@@ -539,6 +576,15 @@ def test_program_run_matches_the_serial_run(tmp_path):
     proc = run_module(["train-logreg", "--config", str(cfg), "--out", str(pooled)])
     assert proc.returncode == 0, proc.stderr
     assert cli.main(["train-logreg", "--config", str(cfg), "--out", str(serial)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_sweep_program_run_matches_the_serial_run(tmp_path):
+    cfg = write_cfg(tmp_path, SWEEP_TWO_SPANS)
+    pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+    proc = run_module(["variance-sweep", "--config", str(cfg), "--out", str(pooled)])
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["variance-sweep", "--config", str(cfg), "--out", str(serial)]) == 0
     assert pooled.read_bytes() == serial.read_bytes()
 
 

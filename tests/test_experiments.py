@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from vargrad_lab import families
-from vargrad_lab.estimators import draw_f
+from vargrad_lab.analysis import (
+    EstimatorSpec,
+    paired_difference_from_estimates,
+    replicate_estimates,
+)
+from vargrad_lab.estimators import REINFORCE_TAG, VARGRAD_TAG, draw_f
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
     cov_f_score2_analytic,
@@ -17,7 +22,13 @@ from vargrad_lab.gaussian_oracles import (
 )
 from vargrad_lab.harness.config import ConfigError, ExperimentConfig, parse_config
 from vargrad_lab.harness.csvio import read_csv
-from vargrad_lab.harness.experiments import RUNNERS, _write_run
+from vargrad_lab.harness.experiments import (
+    _SPAN_REPLICATES,
+    RUNNERS,
+    _sweep_span,
+    _sweep_spans,
+    _write_run,
+)
 from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form
 from vargrad_lab.targets import GaussianTarget, synth_logreg_dataset
@@ -194,6 +205,60 @@ def test_variance_sweep_condition_is_the_sign_of_the_large_s_term(tmp_path):
         assert r["condition_met"] == (a > 0.0), r
         met.append(r["condition_met"])
     assert len(met) == 12 and set(met) == {0, 1}
+
+
+def _sweep_cfg(tmp_path, replicates, grid="[[1, 2, 1, 1, 4], [3, 1, 3, 1, 2]]"):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(
+        f"experiment = variance-sweep\nseed = 23\nout = {tmp_path / 'sweep.csv'}\n"
+        f"sweep.grid_points = {grid}\nsweep.replicates = {replicates}\n",
+        encoding="utf-8",
+    )
+    return parse_config(path)
+
+
+def test_variance_sweep_spans_are_fixed_and_hold_the_jackknife_floor():
+    n = _SPAN_REPLICATES
+    assert _sweep_spans(3) == [(0, 3)]
+    assert _sweep_spans(n) == [(0, n)]
+    assert _sweep_spans(n + 2) == [(0, n + 2)]  # 2 replicates alone are too few
+    assert _sweep_spans(n + 3) == [(0, n), (n, n + 3)]
+    spans = _sweep_spans(100000)  # the default: 13 spans per row
+    assert len(spans) == 13 and spans[-1] == (12 * n, 100000)
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_variance_sweep_span_k_draws_from_the_kth_jump_of_its_row_stream(tmp_path, i):
+    cfg = _sweep_cfg(tmp_path, 100)
+    mu, mu_tilde, sigma2, sigma2_tilde, S = cfg["sweep.grid_points"][i]
+    q, t = gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde)
+    specs = [
+        EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
+        EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
+    ]
+    for k in (0, 2):
+        stream = split_stream(23, "variance-sweep", i)
+        # span 0 draws from the row's stream itself, as a one-span row always did
+        rng = stream if k == 0 else np.random.Generator(stream.bit_generator.jumped(k))
+        want = replicate_estimates(q, t, rng, S, 50, specs)
+        got = _sweep_span(cfg, (i, k, 50))
+        np.testing.assert_array_equal(got[0], want["reinforce"][:, 0])
+        np.testing.assert_array_equal(got[1], want["vargrad"][:, 0])
+
+
+def test_variance_sweep_row_is_its_spans_in_order(tmp_path):
+    R = _SPAN_REPLICATES + 100
+    cfg = _sweep_cfg(tmp_path, R)
+    _, _, rows = read_csv(RUNNERS[cfg.experiment](cfg))
+    for i, r in enumerate(rows):
+        spans = enumerate(_sweep_spans(R))
+        parts = [_sweep_span(cfg, (i, k, stop - start)) for k, (start, stop) in spans]
+        xa, xb = (np.concatenate([p[j] for p in parts])[:, None] for j in (0, 1))
+        pair = paired_difference_from_estimates(xa, xb)
+        assert r["var_reinforce"] == float(pair.report_a.per_coordinate_variance[0])
+        assert r["var_vargrad"] == float(pair.report_b.per_coordinate_variance[0])
+        assert (r["diff"], r["diff_se"]) == (float(pair.diff[0]), float(pair.diff_se[0]))
 
 
 # -------------------------------------------------------------- delta ratio
