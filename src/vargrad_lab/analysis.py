@@ -27,6 +27,7 @@ from .estimators import (
     CV_TAG,
     REINFORCE_TAG,
     VARGRAD_TAG,
+    BatchSums,
     batch_sums,
     combine,
     cv_coefficient,
@@ -44,10 +45,8 @@ CV_SAMPLED_TAG = "cv_sampled"
 # chunk's z, f and score arrays (256-512 KB each at D = 1) stay in cache and
 # malloc reuses them from chunk to chunk, while from 2^16 up they go back to
 # the OS and are page-faulted in afresh for every chunk, which costs more
-# than the arithmetic. cv_sampled draws depend on this value, because each
-# chunk draws its extra blocks after its shared block; 2^15 is the smallest
-# power of two that keeps the default cv-comparison and train-logreg
-# replicate runs in one chunk.
+# than the arithmetic. No draw depends on this value: the chunks take the
+# stream in order, so any cap gives the same bytes.
 _CHUNK_SAMPLE_CAP = 1 << 15
 
 # The delete-one jackknife divides by n - 2, so every replicate count and
@@ -122,7 +121,8 @@ class EstimatorSpec:
 
     tag selects the estimator; cv needs a fixed coefficient vector a, and
     cv_sampled needs s_extra, the size of the independent batch used to
-    estimate the coefficient afresh in every replicate.
+    estimate the coefficient afresh in every replicate. Those batches are
+    drawn after all of the run's shared draws (see replicate_estimates).
 
     vargrad weights each score by f_s minus the mean of the other S - 1
     values of f, the leave-one-out baseline of VIMCO (Mnih & Rezende 2016)
@@ -163,41 +163,40 @@ def replicate_estimates(
 ) -> dict[str, np.ndarray]:
     """R independent gradient estimates for each spec, on shared draws.
 
-    Returns an (R, P) array per spec name. All specs see the same R batches
-    of S samples, drawn in chunks of whole replicates of at most
-    _CHUNK_SAMPLE_CAP draws (at least one replicate per chunk), a size set
-    for cache residency and buffer reuse. Without cv_sampled specs the
-    chunks are invisible: the draws are one sequential stream. cv_sampled
-    specs additionally consume an independent (rows, s_extra) block each,
-    drawn after the shared block of every chunk in spec order, so the stream
-    layout is deterministic but, once R * S exceeds the cap, depends on it
-    for every spec of the run. Each chunk is reduced to its batch sums once,
-    and every spec is a combine of those sums.
+    Returns an (R, P) array per spec name. The stream layout: first the
+    R * S shared draws, replicate after replicate, which every spec sees;
+    then, for each cv_sampled spec in spec order, R * s_extra draws, one
+    coefficient batch per replicate. Each pass draws in chunks of whole
+    replicates of at most _CHUNK_SAMPLE_CAP shared draws (at least one
+    replicate per chunk), a size set for cache residency; the chunks take
+    the stream in order, so no draw depends on it. The shared draws are
+    reduced to one run-wide BatchSums, and every spec is one combine of it.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    if R < MIN_JACKKNIFE_N:
-        raise ValueError(f"R must be >= {MIN_JACKKNIFE_N}")
+    if R < 1:
+        raise ValueError("R must be >= 1")
     if any(s.tag == VARGRAD_TAG for s in specs) and S < 2:
         raise ValueError("the leave-one-out estimator needs S >= 2")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValueError("estimator spec names must be unique")
     p = params.num_params
-    out = {s.name: np.empty((R, p)) for s in specs}
-    chunk_rows = max(1, _CHUNK_SAMPLE_CAP // max(S, 1))
-    start = 0
-    while start < R:
-        rows = min(chunk_rows, R - start)
-        sums = batch_sums(*_draw_block(params, target, rng, rows, S))
-        for spec in specs:
-            if spec.tag == CV_SAMPLED_TAG:  # fresh coefficient per replicate
-                a = cv_coefficient(*_draw_block(params, target, rng, rows, spec.s_extra))
-                est = combine(sums, CV_TAG, a)
-            else:
-                est = combine(sums, spec.tag, spec.a)
-            out[spec.name][start : start + rows] = est
-        start += rows
+    chunk_rows = max(1, _CHUNK_SAMPLE_CAP // S)
+    chunks = [(lo, min(lo + chunk_rows, R)) for lo in range(0, R, chunk_rows)]
+    sums = BatchSums(np.empty((R, p)), np.empty((R, 1)), np.empty((R, p)), S)
+    for lo, hi in chunks:
+        part = batch_sums(*_draw_block(params, target, rng, hi - lo, S))
+        for whole, block in zip(sums[:3], part[:3]):
+            whole[lo:hi] = block
+    out = {}
+    for spec in specs:
+        tag, a = spec.tag, spec.a
+        if tag == CV_SAMPLED_TAG:  # a fresh coefficient per replicate
+            tag, a = CV_TAG, np.empty((R, p))
+            for lo, hi in chunks:
+                a[lo:hi] = cv_coefficient(*_draw_block(params, target, rng, hi - lo, spec.s_extra))
+        out[spec.name] = combine(sums, tag, a)
     return out
 
 

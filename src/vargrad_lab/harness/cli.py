@@ -4,9 +4,10 @@
 
 Subcommands are the experiment names; the config file must declare the same
 experiment, so a file never silently drives the wrong runner. Exit codes:
-0 success, 2 configuration error, 3 numerical abort or library error during
-a run (for example an array shape numpy refuses or cannot allocate, or a
-worker process that died).
+0 success, 2 configuration error (an output path that cannot be written
+too), 3 numerical abort or library error during a run (for example an array
+shape numpy refuses or cannot allocate, a worker process that died, or a
+pool that cannot start).
 
 Every run sets BLAS to one thread, so the CSV bytes do not depend on the
 machine's CPU count. Run as a program, train-logreg evaluates its logged
@@ -138,16 +139,14 @@ def main(argv=None, workers: int = 1) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"config error: cannot write output: {exc}", file=sys.stderr)
-        return 2
     except (NonFiniteGradientError, ArithmeticError) as exc:  # overflow, fp errors
         # Python's float overflow message is only an errno pair
         reason = f"float overflow: {exc}" if isinstance(exc, OverflowError) else exc
         print(f"numerical abort: {reason}", file=sys.stderr)
         return 3
-    # ConfigError, a ValueError, is caught above
-    except (ValueError, MemoryError, WorkerLostError) as exc:
+    # ConfigError, a ValueError, is caught above; an OSError here is not the
+    # CSV write (that one is a ConfigError) but, say, a pool that cannot start
+    except (ValueError, MemoryError, OSError, WorkerLostError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 3
     print(out)

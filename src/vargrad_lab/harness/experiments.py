@@ -31,7 +31,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .. import analysis, estimators, families, losses, optim, targets
-from ..analysis import CV_SAMPLED_TAG, MIN_JACKKNIFE_N, EstimatorSpec
+from ..analysis import CV_SAMPLED_TAG, EstimatorSpec
 from ..estimators import CV_TAG, REINFORCE_TAG, VARGRAD_TAG
 from ..families import DiagGaussianParams, MeanFieldBernoulliParams
 from ..gaussian_oracles import (
@@ -98,7 +98,10 @@ def _write_run(cfg: ExperimentConfig, blocks: list[dict[str, Any]], **computed: 
     metadata = {"experiment": cfg.experiment, "seed": cfg.seed}
     metadata.update((key, json.dumps(value)) for key, value in cfg.options.items())
     metadata.update(computed)
-    write_csv(cfg.out, header, rows, metadata)
+    try:
+        write_csv(cfg.out, header, rows, metadata)
+    except OSError as exc:  # the output path is part of the config
+        raise ConfigError(f"cannot write output: {exc}") from exc
     return cfg.out
 
 
@@ -186,7 +189,8 @@ def run_unbiasedness(cfg: ExperimentConfig, workers: int = 1) -> str:
 # jump), so the bytes depend on this value wherever sweep.replicates exceeds
 # it, but not on the worker count. 2^13 cuts the default grid's 1e5
 # replicates into 13 spans per row: enough tasks to keep two workers busy,
-# few enough that the per-task cost stays small.
+# few enough that the per-task cost stays small. The last span of a row
+# holds the rest, however few.
 _SPAN_REPLICATES = 1 << 13
 
 _SWEEP_SPECS = [
@@ -197,10 +201,8 @@ _SWEEP_SPECS = [
 
 def _sweep_spans(R: int) -> list[tuple[int, int]]:
     """The (start, stop) replicate spans of one sweep row: _SPAN_REPLICATES
-    each, the last one to R. A remainder below MIN_JACKKNIFE_N, which
-    replicate_estimates refuses, joins the span before it."""
-    starts = list(range(0, R - MIN_JACKKNIFE_N + 1, _SPAN_REPLICATES))
-    return list(zip(starts, starts[1:] + [R]))
+    each, the last one to R."""
+    return [(lo, min(lo + _SPAN_REPLICATES, R)) for lo in range(0, R, _SPAN_REPLICATES)]
 
 
 def _sweep_span(

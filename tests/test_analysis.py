@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import vargrad_lab.analysis as analysis
+import vargrad_lab.families as families
 from vargrad_lab.analysis import (
     EstimatorSpec,
     delta_cv_mc,
@@ -101,37 +102,11 @@ def test_replicate_estimates_chunking_is_transparent():
         np.testing.assert_array_equal(big[name], small[name])
 
 
-@pytest.mark.parametrize(
-    "experiment, body, s_key, r_key",
-    [
-        ("cv-comparison", "", "cv.s_grid", "cv.replicates"),
-        (
-            "train-logreg",
-            "logreg.dims = 1",
-            "diagnostics.variance_s",
-            "diagnostics.variance_replicates",
-        ),
-    ],
-    ids=["cv-comparison", "train-logreg"],
-)
-def test_default_cv_sampled_runs_fit_one_chunk(tmp_path, experiment, body, s_key, r_key):
-    # cv_sampled draws its extra block after each chunk's shared block, so
-    # its draws depend on the chunk cap once R * S spans more than one
-    # chunk. The default configs' replicate runs must stay in one chunk;
-    # this is the floor on _CHUNK_SAMPLE_CAP.
-    path = tmp_path / "defaults.cfg"
-    path.write_text(f"experiment = {experiment}\nseed = 1\n{body}\n", encoding="utf-8")
-    cfg = parse_config(path)
-    S, R = cfg[s_key], cfg[r_key]
-    S = max(S) if isinstance(S, list) else S
-    assert analysis._CHUNK_SAMPLE_CAP // S >= R, (experiment, S, R)
-
-
 @pytest.mark.parametrize("cap", [None, 12])
 def test_replicate_estimates_stream_layout(monkeypatch, cap):
-    # Every chunk draws its shared (rows, S) block first, then one
-    # (rows, s_extra) block per cv_sampled spec in spec order. Rebuild each
-    # replicate from explicit families.draw blocks taken in that order.
+    # First the R * S shared draws, replicate after replicate, then R *
+    # s_extra draws for each cv_sampled spec in spec order, whatever the chunk
+    # cap. Rebuild each replicate from one explicit families.draw block per pass.
     if cap is not None:
         monkeypatch.setattr(analysis, "_CHUNK_SAMPLE_CAP", cap)  # 3 rows per chunk
     q, t = pair(1.0, 2.0, 0.0, 1.0, d=2)
@@ -145,29 +120,46 @@ def test_replicate_estimates_stream_layout(monkeypatch, cap):
     ]
     got = replicate_estimates(q, t, np.random.default_rng(109), S, R, specs)
 
-    def blocks(rng, rows, n):
-        z = draw(q, rng, rows * n)
+    def blocks(rng, n):
+        z = draw(q, rng, R * n)
         f = log_density(q, z) - log_joint(t, z)
-        return f.reshape(rows, n), score(q, z).reshape(rows, n, -1)
+        return f.reshape(R, n), score(q, z).reshape(R, n, -1)
 
     rng = np.random.default_rng(109)
-    chunk = analysis._CHUNK_SAMPLE_CAP // S
-    start = 0
-    while start < R:
-        rows = min(chunk, R - start)
-        f, sc = blocks(rng, rows, S)
-        extra = {s.name: blocks(rng, rows, s.s_extra) for s in specs if s.s_extra}
-        for i in range(rows):
-            b = f[i], sc[i]
-            r = start + i
-            sums = batch_sums(*b)  # one batch: no leading replicate axis
-            np.testing.assert_array_equal(got["reinforce"][r], combine(sums, REINFORCE_TAG))
-            np.testing.assert_array_equal(got["cv"][r], combine(sums, CV_TAG, a))
-            np.testing.assert_allclose(got["vargrad"][r], vargrad_via_loss(*b), rtol=1e-12)
-            for name, (fe, se) in extra.items():
-                a_r = cv_coefficient(fe[i], se[i])
-                np.testing.assert_array_equal(got[name][r], combine(sums, CV_TAG, a_r))
-        start += rows
+    f, sc = blocks(rng, S)
+    extra = {s.name: blocks(rng, s.s_extra) for s in specs if s.s_extra}
+    for r in range(R):
+        b = f[r], sc[r]
+        sums = batch_sums(*b)  # one batch: no leading replicate axis
+        np.testing.assert_array_equal(got["reinforce"][r], combine(sums, REINFORCE_TAG))
+        np.testing.assert_array_equal(got["cv"][r], combine(sums, CV_TAG, a))
+        np.testing.assert_allclose(got["vargrad"][r], vargrad_via_loss(*b), rtol=1e-12)
+        for name, (fe, se) in extra.items():
+            a_r = cv_coefficient(fe[r], se[r])
+            np.testing.assert_array_equal(got[name][r], combine(sums, CV_TAG, a_r))
+
+
+def test_replicate_estimates_draws_once_per_chunk_and_pass(monkeypatch):
+    # perfbench/tracer.py counts a call's chunks as its families.draw calls
+    # divided by 1 + the number of cv_sampled specs: every pass, the shared
+    # one and one per cv_sampled spec, draws once per chunk
+    monkeypatch.setattr(analysis, "_CHUNK_SAMPLE_CAP", 12)  # 3 rows per chunk
+    real, sizes = families.draw, []
+
+    def draw_counted(params, rng, n):
+        sizes.append(n)
+        return real(params, rng, n)
+
+    monkeypatch.setattr(families, "draw", draw_counted)
+    q, t = pair(1.0, 2.0, 0.0, 1.0)
+    specs = SPEC_RV + [
+        EstimatorSpec(name="cs3", tag="cv_sampled", s_extra=3),
+        EstimatorSpec(name="cs2", tag="cv_sampled", s_extra=2),
+    ]
+    replicate_estimates(q, t, np.random.default_rng(110), 4, 10, specs)
+    chunks = 4  # 10 replicates in chunks of 3
+    assert len(sizes) == 3 * chunks
+    assert sizes == [12, 12, 12, 4] + [9, 9, 9, 3] + [6, 6, 6, 2]
 
 
 def test_replicate_means_track_exact_gradient():
@@ -182,9 +174,11 @@ def test_replicate_means_track_exact_gradient():
 
 def test_replicate_estimates_validation():
     q, t = pair(1.0, 1.0, 0.0, 1.0)
-    for r in (1, 2):  # below the jackknife floor
-        with pytest.raises(ValueError):
-            replicate_estimates(q, t, np.random.default_rng(0), 4, r, SPEC_RV)
+    with pytest.raises(ValueError):
+        replicate_estimates(q, t, np.random.default_rng(0), 4, 0, SPEC_RV)
+    for r in (1, 2):  # no jackknife here: its floor is report_from_estimates'
+        out = replicate_estimates(q, t, np.random.default_rng(0), 4, r, SPEC_RV)
+        assert [x.shape for x in out.values()] == [(r, 2), (r, 2)]
     with pytest.raises(ValueError):
         EstimatorSpec(name="x", tag="nonsense")
     with pytest.raises(ValueError):

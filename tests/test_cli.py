@@ -1,6 +1,8 @@
 """Exit codes, overrides, and error reporting for the console entry point."""
 
+import concurrent.futures
 import ctypes
+import errno
 import math
 import multiprocessing
 import os
@@ -565,6 +567,24 @@ def test_worker_failure_is_exit_3_with_no_csv(
     assert code == 3, err
     assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("experiment", sorted(POOLED))
+def test_pool_that_cannot_start_is_a_run_error(tmp_path, capfd, monkeypatch, experiment):
+    # no fork, or no /dev/shm for the pool's semaphores: an OSError that is
+    # not about the output path
+    def no_pool(*args, **kwargs):
+        raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = write_cfg(tmp_path, POOLED[experiment][0])
+    out = tmp_path / "x.csv"
+    code = cli.main([experiment, "--config", str(cfg), "--out", str(out)], workers=2)
+    err = capfd.readouterr().err
+    assert code == 3, err
+    assert err == f"run error: [Errno {errno.ENOSYS}] {os.strerror(errno.ENOSYS)}\n"
     assert not out.exists()
     assert multiprocessing.active_children() == []
 

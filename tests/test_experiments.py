@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vargrad_lab import families
+from vargrad_lab import analysis, families
 from vargrad_lab.analysis import (
     EstimatorSpec,
     paired_difference_from_estimates,
@@ -217,12 +217,15 @@ def _sweep_cfg(tmp_path, replicates, grid="[[1, 2, 1, 1, 4], [3, 1, 3, 1, 2]]"):
     return parse_config(path)
 
 
-def test_variance_sweep_spans_are_fixed_and_hold_the_jackknife_floor():
+def test_variance_sweep_spans_are_fixed():
     n = _SPAN_REPLICATES
+    assert _sweep_spans(1) == [(0, 1)]
     assert _sweep_spans(3) == [(0, 3)]
     assert _sweep_spans(n) == [(0, n)]
-    assert _sweep_spans(n + 2) == [(0, n + 2)]  # 2 replicates alone are too few
-    assert _sweep_spans(n + 3) == [(0, n), (n, n + 3)]
+    # however short, the rest is a span of its own: only the jackknife over
+    # the whole row needs 3 replicates
+    assert _sweep_spans(n + 1) == [(0, n), (n, n + 1)]
+    assert _sweep_spans(n + 2) == [(0, n), (n, n + 2)]
     spans = _sweep_spans(100000)  # the default: 13 spans per row
     assert len(spans) == 13 and spans[-1] == (12 * n, 100000)
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
@@ -554,6 +557,39 @@ def test_train_logreg_is_deterministic_per_seed(tmp_path):
     c = (tmp_path / "c.csv").read_bytes()
     assert a == b
     assert a != c
+
+
+# ---------------------------------------------------------- replicate draws
+
+
+@pytest.mark.parametrize(
+    "experiment, lines",
+    [
+        ("cv-comparison", ["cv.dims = [3]", "cv.s_grid = [4, 8]", "cv.replicates = 10000"]),
+        (
+            "train-logreg",
+            [
+                line
+                for line in C10_REDUCED["train-logreg"]
+                if not line.startswith("diagnostics.variance_replicates")
+            ]
+            + ["diagnostics.variance_replicates = 3000"],
+        ),
+    ],
+    ids=["cv-comparison", "train-logreg"],
+)
+def test_replicate_draws_do_not_depend_on_the_chunk_cap(tmp_path, monkeypatch, experiment, lines):
+    # both runs hold a cv_sampled spec, and their replicate runs (10000 x 8
+    # and 3000 x 4 shared draws) span several chunks at the smaller caps
+    outs = []
+    for cap in (1 << 12, 1 << 15, 1 << 17):
+        monkeypatch.setattr(analysis, "_CHUNK_SAMPLE_CAP", cap)
+        body = [f"experiment = {experiment}", "seed = 3", f"out = {tmp_path / f'{cap}.csv'}"]
+        _, _, rows = run(tmp_path, "\n".join(body + lines) + "\n")
+        outs.append((tmp_path / f"{cap}.csv").read_bytes())
+    assert rows
+    assert outs[1] == outs[0]
+    assert outs[2] == outs[0]
 
 
 # --------------------------------------------------------------- _write_run
