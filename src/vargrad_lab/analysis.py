@@ -28,7 +28,7 @@ from .estimators import (
     REINFORCE_TAG,
     VARGRAD_TAG,
     BatchSums,
-    batch_sums,
+    batch_sums_from_draws,
     combine,
     cv_coefficient,
     draw_f,
@@ -42,11 +42,12 @@ CV_SAMPLED_TAG = "cv_sampled"
 
 # At most this many latent draws (rows * S) are materialised at once in
 # replicate_estimates. The size is set for speed, not memory: at 2^15 a
-# chunk's z, f and score arrays (256-512 KB each at D = 1) stay in cache and
-# malloc reuses them from chunk to chunk, while from 2^16 up they go back to
-# the OS and are page-faulted in afresh for every chunk, which costs more
-# than the arithmetic. No draw depends on this value: the chunks take the
-# stream in order, so any cap gives the same bytes.
+# chunk's z, f and score-statistic arrays (256 KB each at D = 1) stay in
+# cache and malloc reuses them from chunk to chunk, while from 2^16 up they
+# go back to the OS and are page-faulted in afresh for every chunk, which
+# costs more than the arithmetic. No draw depends on this value: the chunks
+# take the stream in order and each replicate is reduced on its own, so any
+# cap gives the same bytes.
 _CHUNK_SAMPLE_CAP = 1 << 15
 
 # The delete-one jackknife divides by n - 2, so every replicate count and
@@ -169,8 +170,11 @@ def replicate_estimates(
     coefficient batch per replicate. Each pass draws in chunks of whole
     replicates of at most _CHUNK_SAMPLE_CAP shared draws (at least one
     replicate per chunk), a size set for cache residency; the chunks take
-    the stream in order, so no draw depends on it. The shared draws are
-    reduced to one run-wide BatchSums, and every spec is one combine of it.
+    the stream in order, so no draw depends on it. Each shared chunk goes
+    straight to its BatchSums through estimators.batch_sums_from_draws,
+    which sums the family's score statistics and builds no score array, into
+    one run-wide BatchSums; every spec is one combine of it. The cv_sampled
+    coefficient batches need every draw's score and go through _draw_block.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -186,7 +190,11 @@ def replicate_estimates(
     chunks = [(lo, min(lo + chunk_rows, R)) for lo in range(0, R, chunk_rows)]
     sums = BatchSums(np.empty((R, p)), np.empty((R, 1)), np.empty((R, p)), S)
     for lo, hi in chunks:
-        part = batch_sums(*_draw_block(params, target, rng, hi - lo, S))
+        # the draws are bound to no name, so the last chunk's are freed
+        # before the cv_sampled pass draws its own
+        part = batch_sums_from_draws(
+            params, target, families.draw(params, rng, (hi - lo) * S).reshape(hi - lo, S, -1)
+        )
         for whole, block in zip(sums[:3], part[:3]):
             whole[lo:hi] = block
     out = {}

@@ -55,7 +55,12 @@ def expit(x) -> np.ndarray:
 
 def gaussian_log_density(z: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """log N(z; mean, diag(var)) over the last axis of z."""
-    return -0.5 * np.sum((z - mean) ** 2 / var + np.log(2.0 * np.pi * var), axis=-1)
+    return _gaussian_log_density_of_square((z - mean) ** 2 / var, var)
+
+
+def _gaussian_log_density_of_square(t: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """log N(z; mean, diag(var)) from t = (z - mean)^2 / var."""
+    return -0.5 * np.sum(t + np.log(2.0 * np.pi * var), axis=-1)
 
 
 def _validated_vector(x, name: str) -> np.ndarray:
@@ -183,44 +188,75 @@ def _check_last_axis(z: np.ndarray, d: int) -> None:
         raise ValueError(f"latent dimension mismatch: expected {d}, got shape {z.shape}")
 
 
-def log_density(params: Params, z) -> np.ndarray | float:
-    """log q(z) for z of shape (..., D); returns shape (...,) (scalar for 1-D z)."""
-    z = np.asarray(z, dtype=float)
-    _check_last_axis(z, params.dim)
+def _score_stats(params: Params, z: np.ndarray) -> tuple[np.ndarray, ...]:
     if isinstance(params, DiagGaussianParams):
-        out = gaussian_log_density(z, params.mean, params.var)
-        return out if out.ndim else float(out)
+        u = z - params.mean
+        t = u**2
+        t /= params.var  # in place: the same bits as u**2 / var
+        return u, t
     if isinstance(params, MeanFieldBernoulliParams):
         if not np.all((z == 0.0) | (z == 1.0)):
             raise ValueError("Bernoulli latents must be exactly 0 or 1")
-        logit = params.clipped_logits
+        return (z,)
+    raise TypeError(f"unknown family: {type(params).__name__}")
+
+
+def log_density(params: Params, z, *, with_stats: bool = False):
+    """log q(z) for z of shape (..., D); returns shape (...,) (scalar for 1-D z).
+
+    With with_stats it returns (log q(z), stats) instead, both from one pass
+    over z: stats are the per-coordinate arrays, each shaped like z, that
+    log q and the score are functions of, u = z - mean and u^2 / sigma^2 for
+    the Gaussian, z itself for the Bernoulli. score_from_stats maps them,
+    or weighted sums of them, to scores.
+    """
+    z = np.asarray(z, dtype=float)
+    _check_last_axis(z, params.dim)
+    stats = _score_stats(params, z)
+    if isinstance(params, DiagGaussianParams):
+        out = _gaussian_log_density_of_square(stats[1], params.var)
+    else:
         # z*log(theta) + (1-z)*log(1-theta) == z*logit - softplus(logit)
+        logit = params.clipped_logits
         terms = z * logit
         terms -= np.logaddexp(0.0, logit)  # in place: one (..., D) temporary
         out = np.sum(terms, axis=-1)
-        return out if out.ndim else float(out)
+    if with_stats:
+        return out, stats
+    return out if out.ndim else float(out)
+
+
+def score_from_stats(params: Params, stat_sums, weight_sum) -> np.ndarray:
+    """sum_s w_s score(z_s), shape (..., P), from sum_s w_s x_s for each
+    score statistic x (see log_density), each (..., D), and
+    sum_s w_s, a scalar or (..., 1). The score is affine in the statistics:
+
+    Gaussian coordinates: d/d mean_k = u_k / sigma_k^2 and
+    d/d log_std_k = u_k^2 / sigma_k^2 - 1. Bernoulli:
+    d/d logit_k = z_k - theta_k.
+
+    One draw with weight 1 gives its score; weights f over a batch give
+    sum_s f_s score_s, and unit weights the score sum.
+    """
+    if isinstance(params, DiagGaussianParams):
+        u_sum, t_sum = stat_sums
+        d = params.dim
+        out = np.empty(u_sum.shape[:-1] + (2 * d,))
+        np.divide(u_sum, params.var, out=out[..., :d])
+        np.subtract(t_sum, weight_sum, out=out[..., d:])
+        return out
+    if isinstance(params, MeanFieldBernoulliParams):
+        (z_sum,) = stat_sums
+        return z_sum - weight_sum * params.probs
     raise TypeError(f"unknown family: {type(params).__name__}")
 
 
 def score(params: Params, z) -> np.ndarray:
-    """d log q(z) / d phi for z of shape (..., D); returns shape (..., P).
-
-    Gaussian coordinates: d/d mean_k = (z_k - mu_k) / sigma_k^2 and
-    d/d log_std_k = -1 + (z_k - mu_k)^2 / sigma_k^2. Bernoulli:
-    d/d logit_k = z_k - theta_k.
-    """
+    """d log q(z) / d phi for z of shape (..., D); returns shape (..., P),
+    the formulas of score_from_stats."""
     z = np.asarray(z, dtype=float)
     _check_last_axis(z, params.dim)
-    if isinstance(params, DiagGaussianParams):
-        u = z - params.mean
-        d_mean = u / params.var
-        d_log_std = -1.0 + u**2 / params.var
-        return np.concatenate([d_mean, d_log_std], axis=-1)
-    if isinstance(params, MeanFieldBernoulliParams):
-        if not np.all((z == 0.0) | (z == 1.0)):
-            raise ValueError("Bernoulli latents must be exactly 0 or 1")
-        return z - params.probs
-    raise TypeError(f"unknown family: {type(params).__name__}")
+    return score_from_stats(params, _score_stats(params, z), 1.0)
 
 
 def support_states(d: int) -> np.ndarray:

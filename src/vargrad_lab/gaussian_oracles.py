@@ -29,6 +29,8 @@ rather than trusted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .families import DiagGaussianParams
@@ -71,7 +73,11 @@ def delta_var_analytic(q_params: DiagGaussianParams, target: GaussianTarget, S: 
     c1 = float(q_params.mean[0] - target.post_mean[0]) / s2t
     c2 = 0.5 * (1.0 / s2t - 1.0 / s2)
     ef = kl_gaussian_closed_form(q_params, target) - target.log_evidence
-    return ef * (ef + 4.0 * c2 * s2) / (s * s2) - 2.0 * (c1**2 + c2**2 * s2) / (s * (s - 1.0))
+    out = ef * (ef + 4.0 * c2 * s2) / (s * s2) - 2.0 * (c1**2 + c2**2 * s2) / (s * (s - 1.0))
+    # Python float products give inf silently where a power would raise
+    if not math.isfinite(out):
+        raise OverflowError(f"delta_var_analytic is {out} at S = {S}")
+    return out
 
 
 def delta_var_large_s(dmu: float, dsigma2: float) -> float:

@@ -21,7 +21,7 @@ from vargrad_lab.estimators import (
     CV_TAG,
     REINFORCE_TAG,
     VARGRAD_TAG,
-    batch_sums,
+    batch_sums_from_draws,
     combine,
     cv_coefficient,
     vargrad_via_loss,
@@ -106,7 +106,8 @@ def test_replicate_estimates_chunking_is_transparent():
 def test_replicate_estimates_stream_layout(monkeypatch, cap):
     # First the R * S shared draws, replicate after replicate, then R *
     # s_extra draws for each cv_sampled spec in spec order, whatever the chunk
-    # cap. Rebuild each replicate from one explicit families.draw block per pass.
+    # cap. Rebuild each replicate from one explicit families.draw block per
+    # pass, its shared sums from the kernel on that replicate alone.
     if cap is not None:
         monkeypatch.setattr(analysis, "_CHUNK_SAMPLE_CAP", cap)  # 3 rows per chunk
     q, t = pair(1.0, 2.0, 0.0, 1.0, d=2)
@@ -123,20 +124,20 @@ def test_replicate_estimates_stream_layout(monkeypatch, cap):
     def blocks(rng, n):
         z = draw(q, rng, R * n)
         f = log_density(q, z) - log_joint(t, z)
-        return f.reshape(R, n), score(q, z).reshape(R, n, -1)
+        return z.reshape(R, n, -1), f.reshape(R, n), score(q, z).reshape(R, n, -1)
 
     rng = np.random.default_rng(109)
-    f, sc = blocks(rng, S)
-    extra = {s.name: blocks(rng, s.s_extra) for s in specs if s.s_extra}
+    z, f, sc = blocks(rng, S)
+    extra = {s.name: blocks(rng, s.s_extra)[1:] for s in specs if s.s_extra}
     for r in range(R):
-        b = f[r], sc[r]
-        sums = batch_sums(*b)  # one batch: no leading replicate axis
-        np.testing.assert_array_equal(got["reinforce"][r], combine(sums, REINFORCE_TAG))
-        np.testing.assert_array_equal(got["cv"][r], combine(sums, CV_TAG, a))
-        np.testing.assert_allclose(got["vargrad"][r], vargrad_via_loss(*b), rtol=1e-12)
+        sums = batch_sums_from_draws(q, t, z[r : r + 1])  # replicate r on its own
+        np.testing.assert_array_equal(got["reinforce"][r], combine(sums, REINFORCE_TAG)[0])
+        np.testing.assert_array_equal(got["cv"][r], combine(sums, CV_TAG, a)[0])
+        np.testing.assert_array_equal(got["vargrad"][r], combine(sums, VARGRAD_TAG)[0])
+        np.testing.assert_allclose(got["vargrad"][r], vargrad_via_loss(f[r], sc[r]), rtol=1e-12)
         for name, (fe, se) in extra.items():
             a_r = cv_coefficient(fe[r], se[r])
-            np.testing.assert_array_equal(got[name][r], combine(sums, CV_TAG, a_r))
+            np.testing.assert_array_equal(got[name][r], combine(sums, CV_TAG, a_r)[0])
 
 
 def test_replicate_estimates_draws_once_per_chunk_and_pass(monkeypatch):

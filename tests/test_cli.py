@@ -410,9 +410,18 @@ def assert_exit_3(tmp_path, experiment, body, prefix="numerical abort:"):
         ("variance-sweep", "sweep.grid_points = [[1, 2, 1e-300, 1, 2]]\nsweep.replicates = 50"),
         # at sigma2 = 1e300 the jackknife's squared estimates overflow numpy
         ("variance-sweep", "sweep.grid_points = [[1, 2, 1e300, 1, 2]]\nsweep.replicates = 50"),
+        # mu = 1e152 puts E f near 1e304, and the closed form's E f (E f + ...)
+        # product overflows a Python float to inf without raising; the draws
+        # equal mu in floating point, so every variance column is 0
+        ("variance-sweep", "sweep.grid_points = [[1e152, 0, 1e-10, 1, 4]]\nsweep.replicates = 50"),
         ("delta-ratio", "delta.sigma2 = 1e300\ndelta.dims = [1]"),
     ],
-    ids=["sweep-sigma2-1e-300", "sweep-sigma2-1e300", "delta-ratio-sigma2-1e300"],
+    ids=[
+        "sweep-sigma2-1e-300",
+        "sweep-sigma2-1e300",
+        "sweep-mu-1e152",
+        "delta-ratio-sigma2-1e300",
+    ],
 )
 def test_overflow_during_a_run_is_a_numerical_abort(tmp_path, experiment, body):
     assert_exit_3(tmp_path, experiment, body)

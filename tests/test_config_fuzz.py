@@ -35,6 +35,7 @@ POOL = [
     # lists and grid rows
     [1, 2], [7], [0.5, -0.5], ["vargrad"], ["vargrad", "vargrad"],
     [[0, 0, 1e-300, 1e-300, 2]], [[1, 2, 1, 1, 4]], [[7, -1, 1e300, 1e-300, 2]], [[1, 2, 3]],
+    [[1e152, 0, 1e-10, 1, 4]],
 ]
 
 
@@ -87,6 +88,9 @@ def unexplained_non_finite_cells(rows):
 # sigma2 / sigma2_tilde = 1e300 / 1e-300 overflows in the closed-form KL;
 # an underflowed ratio once took log(0), which printed RuntimeWarnings
 @example(case=("gaussian-oracles", "oracles.grid_points"), value=[[7, -1, 1e300, 1e-300, 2]])
+# at mu = 1e152 the variance-sweep closed form once overflowed to inf in a
+# run that exited 0
+@example(case=("variance-sweep", "sweep.grid_points"), value=[[1e152, 0, 1e-10, 1, 4]])
 # a learning rate of 0.5 diverges and once underflowed the variance to 0,
 # which printed RuntimeWarnings from the log density before the abort
 @example(case=("train-logreg", "optimizer.learning_rate"), value=0.5)

@@ -171,6 +171,83 @@ def test_batch_sums_add_samples_left_to_right(S):
         assert not np.array_equal(backward, score_sum)
 
 
+def kernel_case(family, d, seed):
+    """A (q, target) pair of family ("gaussian" or "bernoulli") at dimension d."""
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        q = gauss(rng.normal(size=d), rng.normal(scale=0.5, size=d))
+        return q, GaussianTarget(post_mean=rng.normal(size=d), post_var=np.exp(rng.normal(size=d)))
+    q = MeanFieldBernoulliParams(logits=rng.normal(size=d))
+    return q, DiscreteToyModel(log_joint_table=rng.normal(size=2**d))
+
+
+@pytest.mark.parametrize("S", [1, 2, 1000])
+@pytest.mark.parametrize(
+    "family, d", [("gaussian", 1), ("gaussian", 3), ("gaussian", 51), ("bernoulli", 4)]
+)
+def test_batch_sums_from_draws_match_batch_sums_of_scores(family, d, S):
+    # The kernel sums the score statistics and maps the sums to scores, so
+    # it adds in another order than batch_sums over the scores. Its error is
+    # rounding, bounded relative to the sums of the terms' magnitudes rather
+    # than to the sums themselves, which cancel: 1e-12 of f and the score
+    # taken absolute, with 1 for the map's constant term.
+    q, t = kernel_case(family, d, seed=10 * d + S)
+    R = 6
+    z = draw(q, np.random.default_rng(S), R * S)
+    f = log_density(q, z) - log_joint(t, z)
+    sc = score(q, z)
+    got = estimators.batch_sums_from_draws(q, t, z.reshape(R, S, -1))
+    want = batch_sums(f.reshape(R, S), sc.reshape(R, S, -1))
+    scale = batch_sums(np.abs(f).reshape(R, S), np.abs(sc).reshape(R, S, -1) + 1.0)
+    assert got.S == S
+    for g, w, m in zip(got[:3], want[:3], scale[:3]):
+        assert g.shape == w.shape
+        assert np.all(np.abs(g - w) <= 1e-12 * m)
+
+
+@pytest.mark.parametrize(
+    "family, d, S",
+    [
+        ("gaussian", 1, 2),
+        ("gaussian", 1, 20),  # a lone axis of 20 would be summed pairwise
+        ("gaussian", 1, estimators._PAIRWISE_MIN_S - 1),
+        ("gaussian", 1, estimators._PAIRWISE_MIN_S),
+        ("gaussian", 1, 1000),
+        ("gaussian", 3, 20),
+        ("bernoulli", 1, 20),
+    ],
+)
+def test_batch_sums_from_draws_reduce_each_batch_on_its_own(family, d, S):
+    # a replicate's sums must not depend on how many replicates share its
+    # chunk, down to a chunk of one
+    q, t = kernel_case(family, d, seed=S)
+    R = 5
+    z = draw(q, np.random.default_rng(S), R * S).reshape(R, S, -1)
+    whole = estimators.batch_sums_from_draws(q, t, z)
+    for r in range(R):
+        alone = estimators.batch_sums_from_draws(q, t, z[r : r + 1])
+        for w, a in zip(whole[:3], alone[:3]):
+            np.testing.assert_array_equal(w[r], a[0])
+
+
+@pytest.mark.parametrize("S", [2, 1000])
+def test_batch_sums_from_draws_raise_on_an_overflowing_product(S):
+    # u = z - mean = 1e150 and f ~ 1e160 are finite, u^2 / sigma^2 = 1 too,
+    # but f u overflows; einsum would return inf here, the CLI's errstate
+    # must turn it into an error
+    q = gauss([0.0], [0.5 * math.log(1e300)])
+    t = GaussianTarget(post_mean=[0.0], post_var=[5e139])
+    z = np.full((1, S, 1), 1e150)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        estimators.batch_sums_from_draws(q, t, z)
+
+
+def test_batch_sums_raise_on_an_overflowing_product():
+    f, scores = np.full((3, 2), 1e200), np.full((3, 2, 2), 1e200)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        batch_sums(f, scores)
+
+
 # ------------------------------------------------------------------ identities
 
 
