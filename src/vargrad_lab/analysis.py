@@ -29,9 +29,9 @@ from .estimators import (
     VARGRAD_TAG,
     BatchSums,
     batch_sums_from_draws,
+    build_batch,
     combine,
     cv_coefficient,
-    draw_f,
 )
 from .families import DiagGaussianParams, Params, gaussian_score_kurtosis_analytic
 # log_joint is no longer called here, but perfbench/checks.py reads the
@@ -147,13 +147,6 @@ class EstimatorSpec:
             raise ValueError("cv_sampled needs s_extra >= 2")
 
 
-def _draw_block(params: Params, target: Target, rng, rows: int, S: int):
-    """rows * S fresh draws as f (rows, S) and scores (rows, S, P)."""
-    z, f = draw_f(params, target, rng, rows * S)
-    sc = families.score(params, z)
-    return f.reshape(rows, S), sc.reshape(rows, S, sc.shape[-1])
-
-
 def replicate_estimates(
     params: Params,
     target: Target,
@@ -174,14 +167,12 @@ def replicate_estimates(
     straight to its BatchSums through estimators.batch_sums_from_draws,
     which sums the family's score statistics and builds no score array, into
     one run-wide BatchSums; every spec is one combine of it. The cv_sampled
-    coefficient batches need every draw's score and go through _draw_block.
+    coefficient batches need every draw's score and go through build_batch.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
     if R < 1:
         raise ValueError("R must be >= 1")
-    if any(s.tag == VARGRAD_TAG for s in specs) and S < 2:
-        raise ValueError("the leave-one-out estimator needs S >= 2")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValueError("estimator spec names must be unique")
@@ -203,7 +194,9 @@ def replicate_estimates(
         if tag == CV_SAMPLED_TAG:  # a fresh coefficient per replicate
             tag, a = CV_TAG, np.empty((R, p))
             for lo, hi in chunks:
-                a[lo:hi] = cv_coefficient(*_draw_block(params, target, rng, hi - lo, spec.s_extra))
+                rows, s = hi - lo, spec.s_extra
+                f, sc = build_batch(params, target, families.draw(params, rng, rows * s))
+                a[lo:hi] = cv_coefficient(f.reshape(rows, s), sc.reshape(rows, s, -1))
         out[spec.name] = combine(sums, tag, a)
     return out
 
@@ -298,8 +291,7 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
     """
     if n < MIN_JACKKNIFE_N:
         raise ValueError(f"n must be >= {MIN_JACKKNIFE_N}")
-    z, f = draw_f(params, target, rng, n)
-    sc = families.score(params, z)
+    f, sc = build_batch(params, target, families.draw(params, rng, n))
     ef, es, es2, _, efs2 = moments(f, sc, np.full(n, 1.0 / n))
     cov, var = _cov_and_var(ef, es, es2, efs2, n)
     valid = var > 0.0
@@ -311,7 +303,7 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
     y = sc**2
     ef_t = ((n * ef - f) / (n - 1))[:, None]
     loo = [(n * m - x) / (n - 1) for m, x in ((es, sc), (es2, y), (efs2, f[:, None] * y))]
-    del z, sc, y, f  # not read below; freeing them lowers the peak of the (n, P) temporaries
+    del sc, y, f  # not read below; freeing them lowers the peak of the (n, P) temporaries
     cov_t, var_t = _cov_and_var(ef_t, *loo, n - 1)
     del loo
     with np.errstate(divide="ignore", invalid="ignore"):

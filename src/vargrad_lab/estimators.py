@@ -1,30 +1,26 @@
 """Score-function gradient estimators.
 
-Every estimator here is a function of two arrays: the S values
-f_s = log q(z_s) - log p(x, z_s), shape (S,), and the analytic scores
-d log q(z_s) / d phi, shape (S, P). build_batch draws both. Everything here
-targets the gradient of KL(q || p(.|x)), equivalently the negative-ELBO
-gradient, since the evidence does not depend on the variational parameters.
+Every estimator here is a function of a batch of S latent draws z_s through
+two quantities: f_s = log q(z_s) - log p(x, z_s) and the analytic scores
+d log q(z_s) / d phi, P per draw. Everything here targets the gradient of
+KL(q || p(.|x)), equivalently the negative-ELBO gradient, since the
+evidence does not depend on the variational parameters.
 
 The leave-one-out estimator centres f by its batch mean before weighting the
 scores and rescales by S/(S-1); it is exactly the gradient of half the
-unbiased empirical variance of the f values with the samples held fixed,
-which vargrad_via_loss evaluates through that second route as a consistency
-check. It is Reinforce with the batch mean of f as its control-variate
-coefficient, the baseline of Kool, van Hoof and Welling (2019).
+unbiased empirical variance of the f values with the samples held fixed. It
+is Reinforce with the batch mean of f as its control-variate coefficient,
+the baseline of Kool, van Hoof and Welling (2019).
 
-The estimator math has one home, the helpers below. draw_f draws z and f;
-batch_sums reduces f and the scores to the three sums every estimator is a
-function of; combine applies the Reinforce, CV or leave-one-out formula to
-those sums; cv_coefficient is the sampled optimal CV coefficient. They work
-over any leading axes, and a single batch is the case with no leading axis,
-so a single-batch Reinforce or CV estimate is
-combine(batch_sums(f, scores), tag, a). batch_sums_from_draws is the
-replicate kernel: it reduces (R, S) batches of draws to the same sums from
-the family's score statistics, without a score array, and
-analysis.replicate_estimates runs its shared draws through it. vargrad is
-the one single-batch estimator with its own name, because train-logreg
-steps with it.
+The estimator math has three pieces. Draws to f and scores: draw_f draws z
+and returns f, and build_batch gives f and the scores of given draws. Draws
+to batch sums: batch_sums_from_draws, the replicate kernel, reduces (R, S)
+batches of draws to the three sums every estimator is a function of, from
+the family's score statistics and without a score array. Sums to estimates:
+combine applies the Reinforce, CV or leave-one-out formula to those sums,
+and cv_coefficient is the sampled optimal CV coefficient of f and scores.
+vargrad is the one single-batch estimator with its own name, because
+train-logreg steps with it; it is one batch through the kernel and combine.
 """
 
 from __future__ import annotations
@@ -63,22 +59,6 @@ class BatchSums(NamedTuple):
     S: int
 
 
-def batch_sums(f: np.ndarray, scores: np.ndarray) -> BatchSums:
-    """Reduce f (..., S) and scores (..., S, P) over the sample axis.
-
-    For P > 1 the score sums add the samples left to right. Multiplies and
-    sums, unlike einsum, raise under np.errstate(over="raise").
-    """
-    if f.shape[-1] != scores.shape[-2]:  # broadcasting would stretch an S of 1
-        raise ValueError(f"f and scores disagree on S: {f.shape} vs {scores.shape}")
-    return BatchSums(
-        f_dot_score=(f[..., None] * scores).sum(axis=-2),
-        f_sum=f.sum(axis=-1, keepdims=True),
-        score_sum=scores.sum(axis=-2),
-        S=f.shape[-1],
-    )
-
-
 # At D = 1 a batch of at least this many samples is summed pairwise along
 # its own contiguous samples, one numpy inner loop of S per batch; smaller
 # batches are summed sample by sample over rows-long slabs, since numpy's
@@ -100,7 +80,7 @@ def _sum_left_to_right(x: np.ndarray) -> np.ndarray:
 
 
 def batch_sums_from_draws(params: Params, target: Target, z: np.ndarray) -> BatchSums:
-    """batch_sums of R batches of draws z, shape (R, S, D), with no score array.
+    """The BatchSums of R batches of draws z, shape (R, S, D), with no score array.
 
     log q and the family's score statistics come from one pass over z
     (families.log_density with with_stats). The score is affine in the
@@ -139,6 +119,8 @@ def combine(sums: BatchSums, tag: str, a=None) -> np.ndarray:
     (1/(S-1)) [sum_s f_s score_s - f_bar sum_s score_s].
     """
     S = sums.S
+    if tag == VARGRAD_TAG and S < 2:
+        raise ValueError("the leave-one-out estimator needs S >= 2 (empirical variance)")
     if tag == REINFORCE_TAG:
         return sums.f_dot_score / S
     if tag == CV_TAG:
@@ -163,41 +145,21 @@ def cv_coefficient(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.where(ok, num / np.where(ok, den, 1.0), np.nan)
 
 
-def build_batch(
-    params: Params, target: Target, rng: np.random.Generator, S: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw S latents and return f, shape (S,), and the scores, shape (S, P).
+def build_batch(params: Params, target: Target, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f, shape (n,), and the scores, shape (n, P), of n draws z (n, D).
 
     Draws are detached by construction: scores come from the closed-form
     score function, so no parameter dependence flows through the samples.
     """
-    if S < 1:
-        raise ValueError(f"S must be >= 1, got {S}")
-    z, f = draw_f(params, target, rng, S)
+    f = np.asarray(families.log_density(params, z) - log_joint(target, z), dtype=float)
     return f, families.score(params, z)
 
 
-def _check_loo(f: np.ndarray) -> None:
-    if f.shape[-1] < 2:
-        raise ValueError("the leave-one-out estimator needs S >= 2 (empirical variance)")
-
-
-def vargrad(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Leave-one-out estimator: (1/(S-1)) [sum_s f_s score_s - f_bar sum_s score_s]."""
-    _check_loo(f)
-    return combine(batch_sums(f, scores), VARGRAD_TAG)
-
-
-def vargrad_via_loss(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """The same estimator derived by differentiating the loss.
-
-    Half the unbiased empirical variance of f is (1/(2(S-1))) sum (f_s - f_bar)^2;
-    its parameter derivative with samples detached is
-    (1/(S-1)) sum_s (f_s - f_bar) score_s, since the f_bar derivative pairs
-    with a term that sums to zero. Agrees with vargrad() to 1e-12 relative.
-    """
-    _check_loo(f)
-    return (f - f.mean()) @ scores / (f.shape[0] - 1)
+def vargrad(params: Params, target: Target, z: np.ndarray) -> np.ndarray:
+    """Leave-one-out estimate, shape (P,), from one batch of S >= 2 draws z
+    (S, D): (1/(S-1)) [sum_s f_s score_s - f_bar sum_s score_s], the
+    replicate kernel's sums of the batch combined."""
+    return combine(batch_sums_from_draws(params, target, z[None]), VARGRAD_TAG)[0]
 
 
 def sampled_cv_coefficient(
@@ -213,4 +175,4 @@ def sampled_cv_coefficient(
     """
     if S_extra < 2:
         raise ValueError(f"S_extra must be >= 2, got {S_extra}")
-    return cv_coefficient(*build_batch(params, target, rng, S_extra))
+    return cv_coefficient(*build_batch(params, target, families.draw(params, rng, S_extra)))

@@ -468,10 +468,8 @@ def run_train_logreg(cfg: ExperimentConfig, workers: int = 1) -> str:
     phi = params.to_vector()
     trajectory = [(0, phi)]
     for t in range(1, cfg["logreg.steps"] + 1):
-        f, sc = estimators.build_batch(
-            params, model, split_stream(cfg.seed, "train", t), cfg["logreg.train_s"]
-        )
-        phi = optim.sgd_step(phi, estimators.vargrad(f, sc), lr)
+        z = families.draw(params, split_stream(cfg.seed, "train", t), cfg["logreg.train_s"])
+        phi = optim.sgd_step(phi, estimators.vargrad(params, model, z), lr)
         params = DiagGaussianParams.from_vector(phi)
         if t % every == 0:
             trajectory.append((t, phi))

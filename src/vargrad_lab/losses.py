@@ -3,9 +3,9 @@
 The log-variance loss is half the empirical variance of
 f = log q - log p(x, z) over the batch; it is invariant to the evidence
 constant because constants have no variance. Its gradient with the
-samples held fixed is the leave-one-out estimator
-(estimators.vargrad_via_loss). train-logreg writes it at every logged step,
-from the ELBO batch of evidence_and_elbo.
+samples held fixed is the leave-one-out estimator (estimators.vargrad).
+train-logreg writes it at every logged step, from the ELBO batch of
+evidence_and_elbo.
 
 KL has two routes: the closed form for diagonal Gaussians and
 the identity KL = log p(x) - ELBO, whose two terms evidence_and_elbo
@@ -77,7 +77,12 @@ def evidence_and_elbo(
     """Importance-sampled log p(x), a Monte Carlo ELBO and the log-variance
     loss, as a triple.
 
-    The proposal is q itself (the only distribution available in the loop).
+    The proposal is q itself, by choice: it needs no distribution beyond the
+    one being fitted. It is a poor proposal late in training; on the
+    train-logreg D = 50 config the estimate read 34-40 nats below an
+    annealed importance sampling reference (ROADMAP.md), so the KL that
+    train-logreg derives from it (kl_is) and its bound_denominator carry
+    that bias.
     log p(x) is estimated as logsumexp of the log weights minus log n_is;
     the IS batch is drawn first, then the ELBO batch. The ELBO is minus the
     mean of that batch's f values and the log-variance loss is half their

@@ -1,9 +1,10 @@
 """Independent reference computations for the test suite.
 
 Nothing here reuses the closed forms under test. Gaussian moments come from
-adaptive quadrature, discrete expectations from exhaustive enumeration, and
-multi-sample variances from a direct expansion over i.i.d. draws, so
-agreement with the library is evidence rather than tautology.
+adaptive quadrature, discrete expectations from exhaustive enumeration,
+multi-sample variances from a direct expansion over i.i.d. draws, and
+estimator sums from formed per-draw scores, so agreement with the library is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+
+from vargrad_lab.estimators import BatchSums
 
 # Integration window in posterior standard deviations. The integrands decay
 # like a Gaussian times a polynomial, so 14 sd puts the tail mass far below
@@ -183,3 +186,31 @@ def sample_variance_ref(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     m = x.mean()
     return float(((x - m) ** 2).sum() / (x.size - 1))
+
+
+def batch_sums(f: np.ndarray, scores: np.ndarray) -> BatchSums:
+    """The BatchSums of f (..., S) and formed scores (..., S, P), summed over
+    the sample axis: the reference for the replicate kernel, which sums the
+    family's score statistics instead. combine(batch_sums(f, sc), tag) is a
+    single batch's Reinforce, CV or leave-one-out estimate."""
+    if f.shape[-1] != scores.shape[-2]:  # broadcasting would stretch an S of 1
+        raise ValueError(f"f and scores disagree on S: {f.shape} vs {scores.shape}")
+    return BatchSums(
+        f_dot_score=(f[..., None] * scores).sum(axis=-2),
+        f_sum=f.sum(axis=-1, keepdims=True),
+        score_sum=scores.sum(axis=-2),
+        S=f.shape[-1],
+    )
+
+
+def vargrad_via_loss(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The leave-one-out estimate derived by differentiating the loss.
+
+    Half the unbiased empirical variance of f is (1/(2(S-1))) sum (f_s - f_bar)^2;
+    its parameter derivative with samples detached is
+    (1/(S-1)) sum_s (f_s - f_bar) score_s, since the f_bar derivative pairs
+    with a term that sums to zero.
+    """
+    if f.shape[0] < 2:
+        raise ValueError("the leave-one-out estimator needs S >= 2 (empirical variance)")
+    return (f - f.mean()) @ scores / (f.shape[0] - 1)

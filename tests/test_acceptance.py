@@ -27,12 +27,7 @@ from vargrad_lab.analysis import (
     paired_difference_from_estimates,
     replicate_estimates,
 )
-from vargrad_lab.estimators import (
-    build_batch,
-    sampled_cv_coefficient,
-    vargrad,
-    vargrad_via_loss,
-)
+from vargrad_lab.estimators import build_batch, combine, sampled_cv_coefficient, vargrad
 from vargrad_lab.families import DiagGaussianParams, MeanFieldBernoulliParams
 from vargrad_lab.gaussian_oracles import (
     convention_coordinate,
@@ -45,6 +40,8 @@ from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form
 from vargrad_lab.targets import DiscreteToyModel, GaussianTarget
+
+from oracles import batch_sums, vargrad_via_loss
 
 
 def gaussian_pair(mu, s2, mut, s2t, log_ev=0.0, d=1):
@@ -97,9 +94,10 @@ def test_c01_replicate_means_match_enumerated_gradient():
 
 
 def test_c02_loss_gradient_identity_and_exact_pair_expectation():
-    """The gradient assembled from the log-variance loss equals the direct
-    leave-one-out estimator to 1e-12 relative on 1000 random batches across
-    both families; and at S=2, D=1 its exact expectation (enumerating all
+    """The gradient assembled from the log-variance loss equals the
+    leave-one-out estimate train-logreg steps with (the replicate kernel on
+    the same draws) to 1e-12 relative on 1000 random batches across both
+    families; and at S=2, D=1 its exact expectation (enumerating all
     sample pairs) equals the exact KL gradient to 1e-9."""
     rng = split_stream(200, "acc-c2")
     for i in range(1000):
@@ -117,10 +115,9 @@ def test_c02_loss_gradient_identity_and_exact_pair_expectation():
         else:
             q = MeanFieldBernoulliParams(logits=rng.normal(0.0, 2.0, d))
             target = DiscreteToyModel(log_joint_table=rng.normal(0.0, 1.0, 2**d))
-        batch = build_batch(q, target, rng, s)
-        np.testing.assert_allclose(
-            vargrad_via_loss(*batch), vargrad(*batch), rtol=1e-12, atol=1e-12
-        )
+        z = families.draw(q, rng, s)
+        via_loss = vargrad_via_loss(*build_batch(q, target, z))
+        np.testing.assert_allclose(via_loss, vargrad(q, target, z), rtol=1e-12, atol=1e-12)
 
     target = DiscreteToyModel(log_joint_table=np.array([0.2, -0.9]))
     q = MeanFieldBernoulliParams(logits=np.array([0.6]))
@@ -134,7 +131,8 @@ def test_c02_loss_gradient_identity_and_exact_pair_expectation():
             f = np.asarray(
                 families.log_density(q, z) - target.log_joint_table[[i, j]], float
             )
-            expectation += probs[i] * probs[j] * vargrad(f, families.score(q, z))
+            sums = batch_sums(f, families.score(q, z))
+            expectation += probs[i] * probs[j] * combine(sums, VARGRAD_TAG)
     np.testing.assert_allclose(expectation, grad, rtol=1e-9, atol=1e-12)
 
 

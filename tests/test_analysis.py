@@ -24,7 +24,6 @@ from vargrad_lab.estimators import (
     batch_sums_from_draws,
     combine,
     cv_coefficient,
-    vargrad_via_loss,
 )
 from vargrad_lab.families import (
     DiagGaussianParams,
@@ -47,7 +46,7 @@ from vargrad_lab.harness.experiments import RUNNERS
 from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
 from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, log_joint
 
-from oracles import cov_f_score2_ref
+from oracles import cov_f_score2_ref, vargrad_via_loss
 
 
 def gauss(mean, log_std):
@@ -177,6 +176,8 @@ def test_replicate_estimates_validation():
     q, t = pair(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         replicate_estimates(q, t, np.random.default_rng(0), 4, 0, SPEC_RV)
+    with pytest.raises(ValueError, match="S >= 2"):  # the leave-one-out spec at S = 1
+        replicate_estimates(q, t, np.random.default_rng(0), 1, 10, SPEC_RV)
     for r in (1, 2):  # no jackknife here: its floor is report_from_estimates'
         out = replicate_estimates(q, t, np.random.default_rng(0), 4, r, SPEC_RV)
         assert [x.shape for x in out.values()] == [(r, 2), (r, 2)]

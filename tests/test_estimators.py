@@ -12,12 +12,11 @@ from vargrad_lab.analysis import exact_kl_and_gradient
 from vargrad_lab.estimators import (
     CV_TAG,
     REINFORCE_TAG,
-    batch_sums,
+    VARGRAD_TAG,
     build_batch,
     combine,
     sampled_cv_coefficient,
     vargrad,
-    vargrad_via_loss,
 )
 from vargrad_lab.families import (
     DiagGaussianParams,
@@ -26,9 +25,9 @@ from vargrad_lab.families import (
     log_density,
     score,
 )
-from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, log_joint
+from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, log_joint, synth_logreg_dataset
 
-from oracles import enumerate_batches
+from oracles import batch_sums, enumerate_batches, vargrad_via_loss
 
 
 def gauss(mean, log_std):
@@ -41,8 +40,8 @@ def manual_batch(f_values, scores):
     return np.asarray(f_values, dtype=float), np.asarray(scores, dtype=float)
 
 
-# The single-batch Reinforce and CV estimates, written as the replicate runs
-# compute them: the case of batch_sums and combine with no leading axis.
+# The single-batch estimates of given f values and scores: combine of the
+# reference sums over formed scores, with no leading axis.
 def reinforce(f, scores):
     return combine(batch_sums(f, scores), REINFORCE_TAG)
 
@@ -51,10 +50,14 @@ def cv_estimator(f, scores, a):
     return combine(batch_sums(f, scores), CV_TAG, a)
 
 
+def leave_one_out(f, scores):
+    return combine(batch_sums(f, scores), VARGRAD_TAG)
+
+
 SINGLE_BATCH = {
     "reinforce": reinforce,
     "cv_estimator": lambda f, scores: cv_estimator(f, scores, np.zeros(2)),
-    "vargrad": vargrad,
+    "vargrad": leave_one_out,
     "vargrad_via_loss": vargrad_via_loss,
 }
 
@@ -71,8 +74,8 @@ def random_batch(rng, S=None, P=None):
 def test_build_batch_fields_and_reproducibility():
     q = gauss([0.0, 1.0], [0.0, 0.2])
     t = GaussianTarget(post_mean=np.array([1.0, 0.0]), post_var=np.array([1.0, 2.0]))
-    f1, sc1 = build_batch(q, t, np.random.default_rng(8), 16)
-    f2, sc2 = build_batch(q, t, np.random.default_rng(8), 16)
+    f1, sc1 = build_batch(q, t, draw(q, np.random.default_rng(8), 16))
+    f2, sc2 = build_batch(q, t, draw(q, np.random.default_rng(8), 16))
     assert f1.shape == (16,) and sc1.shape == (16, 4)
     np.testing.assert_array_equal(f1, f2)
     np.testing.assert_array_equal(sc1, sc2)
@@ -81,18 +84,11 @@ def test_build_batch_fields_and_reproducibility():
 def test_build_batch_f_is_log_ratio():
     q = gauss([0.5], [0.1])
     t = GaussianTarget(post_mean=np.array([0.0]), post_var=np.array([1.0]), log_evidence=2.0)
-    f, sc = build_batch(q, t, np.random.default_rng(9), 5)
-    z = draw(q, np.random.default_rng(9), 5)  # the draws build_batch made
+    z = draw(q, np.random.default_rng(9), 5)
+    f, sc = build_batch(q, t, z)
     want = np.array([float(log_density(q, zi)) - float(log_joint(t, zi)) for zi in z])
     np.testing.assert_allclose(f, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(sc, score(q, z))
-
-
-def test_build_batch_rejects_empty():
-    q = gauss([0.0], [0.0])
-    t = GaussianTarget(post_mean=np.array([0.0]), post_var=np.array([1.0]))
-    with pytest.raises(ValueError):
-        build_batch(q, t, np.random.default_rng(0), 0)
 
 
 def test_elbo_estimate_is_negated_mean():
@@ -104,7 +100,7 @@ def test_elbo_estimate_is_negated_mean():
 def test_elbo_matched_posterior_is_zero():
     q = gauss([1.0], [0.0])
     t = GaussianTarget(post_mean=np.array([1.0]), post_var=np.array([1.0]))
-    f, _ = build_batch(q, t, np.random.default_rng(10), 64)
+    f, _ = build_batch(q, t, draw(q, np.random.default_rng(10), 64))
     assert -f.mean() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -112,7 +108,7 @@ def test_elbo_is_evidence_lower_bound_in_expectation():
     # KL = 2.45 here, so the mean estimate sits well below log p(x) = 0
     q = gauss([3.0], [0.5 * math.log(3.0)])
     t = GaussianTarget(post_mean=np.array([1.0]), post_var=np.array([1.0]))
-    f, _ = build_batch(q, t, np.random.default_rng(12), 100_000)
+    f, _ = build_batch(q, t, draw(q, np.random.default_rng(12), 100_000))
     se = f.std(ddof=1) / math.sqrt(f.size)
     assert -f.mean() < 0.0
     assert abs(-f.mean() + 2.450693855665945) < 4.0 * se
@@ -124,7 +120,7 @@ def test_elbo_is_evidence_lower_bound_in_expectation():
 def test_hand_batch_values():
     b = manual_batch([1.0, 2.0, 4.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     np.testing.assert_allclose(reinforce(*b), [5.0 / 3.0, 2.0], atol=1e-15)
-    np.testing.assert_allclose(vargrad(*b), [1.0 / 6.0, 2.0 / 3.0], atol=1e-15)
+    np.testing.assert_allclose(leave_one_out(*b), [1.0 / 6.0, 2.0 / 3.0], atol=1e-15)
     np.testing.assert_allclose(
         cv_estimator(*b, np.array([1.0, 1.0])), [1.0, 4.0 / 3.0], atol=1e-15
     )
@@ -138,7 +134,7 @@ def test_single_sample_reinforce_is_f_times_score():
 def test_two_sample_vargrad_hand_expansion():
     b = manual_batch([1.0, 3.0], [[2.0], [5.0]])
     # (f1 - f2) (s1 - s2) / 2 = (-2)(-3)/2 = 3
-    assert vargrad(*b)[0] == pytest.approx(3.0, abs=1e-15)
+    assert leave_one_out(*b)[0] == pytest.approx(3.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("estimator", list(SINGLE_BATCH))
@@ -150,25 +146,24 @@ def test_estimators_reject_mismatched_sample_counts(estimator, S_f, S_scores):
 
 @pytest.mark.parametrize("S", [2, 9, 1000])
 def test_batch_sums_add_samples_left_to_right(S):
-    # The CSV bytes depend on the order of the sums over s. Pin it to a
-    # plain left-to-right accumulation, so a numpy whose einsum or sum
-    # reorders the additions fails here instead of moving the CSVs.
+    # The CSV bytes depend on the order of the kernel's sums over s. Below
+    # _PAIRWISE_MIN_S at D = 1, and at every S for D > 1, it adds a
+    # sample-major (S, R, D) array slab by slab. Pin that to a plain
+    # left-to-right accumulation, for slabs of one element (cumsum) and of
+    # several (sum), so a numpy that reorders the additions fails here
+    # instead of moving the CSVs.
     rng = np.random.default_rng(S)
-    R, P = 5, 2
-    f = rng.normal(size=(R, S)) * np.exp(rng.normal(scale=3.0, size=(R, S)))
-    scores = rng.normal(size=(R, S, P)) * np.exp(rng.normal(scale=3.0, size=(R, S, P)))
-    sums = estimators.batch_sums(f, scores)
-    score_sum, f_dot_score = np.zeros((R, P)), np.zeros((R, P))
-    for s in range(S):
-        score_sum = score_sum + scores[:, s, :]
-        f_dot_score = f_dot_score + f[:, s, None] * scores[:, s, :]
-    np.testing.assert_array_equal(sums.score_sum, score_sum)
-    np.testing.assert_array_equal(sums.f_dot_score, f_dot_score)
-    if S > 2:  # the data are order-sensitive, so the check has teeth
-        backward = np.zeros((R, P))
-        for s in reversed(range(S)):
-            backward = backward + scores[:, s, :]
-        assert not np.array_equal(backward, score_sum)
+    for shape in ((S, 1, 1), (S, 5, 2)):
+        x = rng.normal(size=shape) * np.exp(rng.normal(scale=3.0, size=shape))
+        forward = np.zeros(shape[1:])
+        for s in range(S):
+            forward = forward + x[s]
+        np.testing.assert_array_equal(estimators._sum_left_to_right(x), forward)
+        if S > 2:  # the data are order-sensitive, so the check has teeth
+            backward = np.zeros(shape[1:])
+            for s in reversed(range(S)):
+                backward = backward + x[s]
+            assert not np.array_equal(backward, forward)
 
 
 def kernel_case(family, d, seed):
@@ -187,10 +182,10 @@ def kernel_case(family, d, seed):
 )
 def test_batch_sums_from_draws_match_batch_sums_of_scores(family, d, S):
     # The kernel sums the score statistics and maps the sums to scores, so
-    # it adds in another order than batch_sums over the scores. Its error is
-    # rounding, bounded relative to the sums of the terms' magnitudes rather
-    # than to the sums themselves, which cancel: 1e-12 of f and the score
-    # taken absolute, with 1 for the map's constant term.
+    # it adds in another order than the reference sums over formed scores.
+    # Its error is rounding, bounded relative to the sums of the terms'
+    # magnitudes rather than to the sums themselves, which cancel: 1e-12 of
+    # f and the score taken absolute, with 1 for the map's constant term.
     q, t = kernel_case(family, d, seed=10 * d + S)
     R = 6
     z = draw(q, np.random.default_rng(S), R * S)
@@ -242,10 +237,47 @@ def test_batch_sums_from_draws_raise_on_an_overflowing_product(S):
         estimators.batch_sums_from_draws(q, t, z)
 
 
-def test_batch_sums_raise_on_an_overflowing_product():
-    f, scores = np.full((3, 2), 1e200), np.full((3, 2, 2), 1e200)
+def leave_one_out_case(family, d, seed):
+    """A (q, target) pair: kernel_case's, or q against a synthetic logistic
+    regression whose latent (w, b) has d = D + 1 coordinates."""
+    if family != "logreg":
+        return kernel_case(family, d, seed)
+    rng = np.random.default_rng(seed)
+    model = synth_logreg_dataset(rng, N=100, D=d - 1)
+    return gauss(rng.normal(scale=0.3, size=d), rng.normal(scale=0.3, size=d)), model
+
+
+@pytest.mark.parametrize("S", [2, 4, 200])
+@pytest.mark.parametrize("family, d", [("gaussian", 1), ("logreg", 51), ("bernoulli", 4)])
+def test_vargrad_of_draws_matches_the_score_array_routes(family, d, S):
+    # train-logreg's step: one batch of draws through the replicate kernel.
+    # It must give the leave-one-out estimate of the formed f and scores of
+    # the same draws, both as combine of the reference sums and by the loss
+    # gradient, to rounding: 1e-12 of the formula with every term absolute.
+    q, t = leave_one_out_case(family, d, seed=100 * d + S)
+    z = draw(q, np.random.default_rng(S), S)
+    f, sc = build_batch(q, t, z)
+    got = vargrad(q, t, z)
+    m = batch_sums(np.abs(f), np.abs(sc) + 1.0)
+    tol = 1e-12 * (m.f_dot_score + m.f_sum / S * m.score_sum) / (S - 1)
+    assert got.shape == (q.num_params,)
+    for want in (leave_one_out(f, sc), vargrad_via_loss(f, sc)):
+        assert np.all(np.abs(got - want) <= tol)
+
+
+def test_vargrad_of_one_draw_raises():
+    q, t = kernel_case("gaussian", 2, seed=0)
+    with pytest.raises(ValueError, match="S >= 2"):
+        vargrad(q, t, draw(q, np.random.default_rng(0), 1))
+
+
+def test_vargrad_raises_on_an_overflowing_product():
+    # as in the kernel test: f ~ 1e160 times u = 1e150 overflows, and the
+    # CLI's errstate turns that into an error rather than an inf step
+    q = gauss([0.0], [0.5 * math.log(1e300)])
+    t = GaussianTarget(post_mean=[0.0], post_var=[5e139])
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        batch_sums(f, scores)
+        vargrad(q, t, np.full((4, 1), 1e150))
 
 
 # ------------------------------------------------------------------ identities
@@ -264,7 +296,7 @@ def test_cv_at_mean_loss_recovers_scaled_vargrad():
         f, sc = random_batch(rng)
         S, P = sc.shape
         got = cv_estimator(f, sc, np.full(P, f.mean()))
-        want = (S - 1) / S * vargrad(f, sc)
+        want = (S - 1) / S * leave_one_out(f, sc)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -272,7 +304,7 @@ def test_vargrad_via_loss_identity_random_batches():
     rng = np.random.default_rng(53)
     for _ in range(200):
         b = random_batch(rng)
-        np.testing.assert_allclose(vargrad_via_loss(*b), vargrad(*b), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(vargrad_via_loss(*b), leave_one_out(*b), rtol=1e-12, atol=1e-12)
 
 
 @given(
@@ -282,14 +314,16 @@ def test_vargrad_via_loss_identity_random_batches():
 def test_vargrad_via_loss_identity_property(f, seed):
     scores = np.random.default_rng(seed).normal(size=(len(f), 3))
     b = manual_batch(f, scores)
-    np.testing.assert_allclose(vargrad_via_loss(*b), vargrad(*b), rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(vargrad_via_loss(*b), leave_one_out(*b), rtol=1e-9, atol=1e-9)
 
 
 def test_vargrad_translation_invariance():
     rng = np.random.default_rng(54)
     for c in (1.0, -17.5, 1e4):
         f, sc = random_batch(rng, S=8, P=3)
-        np.testing.assert_allclose(vargrad(f + c, sc), vargrad(f, sc), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(
+            leave_one_out(f + c, sc), leave_one_out(f, sc), rtol=1e-9, atol=1e-9
+        )
 
 
 def test_reinforce_translation_shifts_by_score_mean():
@@ -303,21 +337,21 @@ def test_reinforce_translation_shifts_by_score_mean():
 def test_constant_loss_gives_zero_vargrad_and_scaled_score_mean_reinforce():
     scores = np.random.default_rng(56).normal(size=(6, 2))
     f = np.full(6, 3.25)
-    np.testing.assert_allclose(vargrad(f, scores), 0.0, atol=1e-12)
+    np.testing.assert_allclose(leave_one_out(f, scores), 0.0, atol=1e-12)
     np.testing.assert_allclose(reinforce(f, scores), 3.25 * scores.mean(axis=0), rtol=1e-12)
 
 
 def test_matched_posterior_gradients_vanish():
     q = gauss([1.0, -0.5], [0.0, 0.3])
     t = GaussianTarget(post_mean=q.mean.copy(), post_var=q.var.copy())
-    f, sc = build_batch(q, t, np.random.default_rng(57), 32)
-    np.testing.assert_allclose(vargrad(f, sc), 0.0, atol=1e-10)
+    z = draw(q, np.random.default_rng(57), 32)
+    np.testing.assert_allclose(vargrad(q, t, z), 0.0, atol=1e-10)
 
 
 def test_vargrad_requires_two_samples():
     b = manual_batch([1.0], [[1.0]])
     with pytest.raises(ValueError):
-        vargrad(*b)
+        leave_one_out(*b)
     with pytest.raises(ValueError):
         vargrad_via_loss(*b)
 
@@ -339,7 +373,7 @@ def test_vargrad_expectation_equals_exact_gradient_by_enumeration():
         f = np.array(
             [float(log_density(q, zi)) - float(log_joint(model, zi)) for zi in z]
         )
-        expectation += w * vargrad(f, score(q, z))
+        expectation += w * leave_one_out(f, score(q, z))
     _, exact = exact_kl_and_gradient(model, q)
     np.testing.assert_allclose(expectation, exact, rtol=1e-9, atol=1e-12)
 

@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vargrad_lab"
 
 KEPT = {
-    "vargrad_via_loss": "the loss-gradient route that checks the leave-one-out estimator",
     "delta_ratio_bound": "the paper's bound on the correction ratio, checked by test_c06",
     "read_csv": "the reader of the CSV format write_csv writes",
 }

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vargrad_lab.estimators import build_batch
+from vargrad_lab.estimators import draw_f
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.losses import (
     evidence_and_elbo,
@@ -38,7 +38,7 @@ def c2_setting(d=1):
 
 
 def draw_f_values(q, t, seed, S):
-    return build_batch(q, t, np.random.default_rng(seed), S)[0]
+    return draw_f(q, t, np.random.default_rng(seed), S)[1]
 
 
 # ------------------------------------------------------------- log variance
