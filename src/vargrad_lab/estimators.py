@@ -12,11 +12,11 @@ unbiased empirical variance of the f values with the samples held fixed. It
 is Reinforce with the batch mean of f as its control-variate coefficient,
 the baseline of Kool, van Hoof and Welling (2019).
 
-The estimator math has three pieces. Draws to f and scores: draw_f draws z
-and returns f, and build_batch gives f and the scores of given draws. Draws
-to batch sums: batch_sums_from_draws, the replicate kernel, reduces (R, S)
-batches of draws to the three sums every estimator is a function of, from
-the family's score statistics and without a score array. Sums to estimates:
+The estimator math has three pieces. Draws to f and scores: build_batch
+gives f and the scores of given draws. Draws to batch sums:
+batch_sums_from_draws, the replicate kernel, reduces (R, S) batches of
+draws to the three sums every estimator is a function of, from the
+family's score statistics and without a score array. Sums to estimates:
 combine applies the Reinforce, CV or leave-one-out formula to those sums,
 and cv_coefficient is the sampled optimal CV coefficient of f and scores.
 vargrad is the one single-batch estimator with its own name, because
@@ -37,15 +37,6 @@ from .targets import Target, log_joint
 REINFORCE_TAG = "reinforce"
 CV_TAG = "cv"
 VARGRAD_TAG = "vargrad"
-
-
-def draw_f(
-    params: Params, target: Target, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """n latent draws z, shape (n, D), and f = log q(z) - log p(x, z), shape (n,)."""
-    z = families.draw(params, rng, n)
-    f = np.asarray(families.log_density(params, z) - log_joint(target, z), dtype=float)
-    return z, f
 
 
 class BatchSums(NamedTuple):
@@ -151,8 +142,7 @@ def build_batch(params: Params, target: Target, z: np.ndarray) -> tuple[np.ndarr
     Draws are detached by construction: scores come from the closed-form
     score function, so no parameter dependence flows through the samples.
     """
-    f = np.asarray(families.log_density(params, z) - log_joint(target, z), dtype=float)
-    return f, families.score(params, z)
+    return families.log_density(params, z) - log_joint(target, z), families.score(params, z)
 
 
 def vargrad(params: Params, target: Target, z: np.ndarray) -> np.ndarray:

@@ -188,6 +188,12 @@ def _check_last_axis(z: np.ndarray, d: int) -> None:
         raise ValueError(f"latent dimension mismatch: expected {d}, got shape {z.shape}")
 
 
+def require_binary(z: np.ndarray) -> None:
+    """Refuse binary latents that are not exactly 0 or 1."""
+    if not np.all((z == 0.0) | (z == 1.0)):
+        raise ValueError("binary latents must be exactly 0 or 1")
+
+
 def _score_stats(params: Params, z: np.ndarray) -> tuple[np.ndarray, ...]:
     if isinstance(params, DiagGaussianParams):
         u = z - params.mean
@@ -195,14 +201,14 @@ def _score_stats(params: Params, z: np.ndarray) -> tuple[np.ndarray, ...]:
         t /= params.var  # in place: the same bits as u**2 / var
         return u, t
     if isinstance(params, MeanFieldBernoulliParams):
-        if not np.all((z == 0.0) | (z == 1.0)):
-            raise ValueError("Bernoulli latents must be exactly 0 or 1")
+        require_binary(z)
         return (z,)
     raise TypeError(f"unknown family: {type(params).__name__}")
 
 
 def log_density(params: Params, z, *, with_stats: bool = False):
-    """log q(z) for z of shape (..., D); returns shape (...,) (scalar for 1-D z).
+    """log q(z) for z of shape (..., D); returns an array of shape (...,),
+    of shape () for one latent of shape (D,).
 
     With with_stats it returns (log q(z), stats) instead, both from one pass
     over z: stats are the per-coordinate arrays, each shaped like z, that
@@ -221,9 +227,7 @@ def log_density(params: Params, z, *, with_stats: bool = False):
         terms = z * logit
         terms -= np.logaddexp(0.0, logit)  # in place: one (..., D) temporary
         out = np.sum(terms, axis=-1)
-    if with_stats:
-        return out, stats
-    return out if out.ndim else float(out)
+    return (out, stats) if with_stats else out
 
 
 def score_from_stats(params: Params, stat_sums, weight_sum) -> np.ndarray:

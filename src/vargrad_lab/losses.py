@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimators import draw_f
+from . import families
 from .families import DiagGaussianParams, Params
-from .targets import GaussianTarget, Target, logsumexp
+from .targets import GaussianTarget, Target, log_joint, logsumexp
 
 
 def log_variance_loss(f: np.ndarray) -> float:
@@ -71,8 +71,8 @@ def evidence_and_elbo(
     q_params: Params,
     model: Target,
     rng: np.random.Generator,
-    n_is: int = 10000,
-    n_elbo: int = 2000,
+    n_is: int,
+    n_elbo: int,
 ) -> tuple[float, float, float]:
     """Importance-sampled log p(x), a Monte Carlo ELBO and the log-variance
     loss, as a triple.
@@ -90,9 +90,11 @@ def evidence_and_elbo(
     """
     if n_is < 2 or n_elbo < 2:
         raise ValueError("n_is and n_elbo must both be >= 2")
-    log_w = -draw_f(q_params, model, rng, n_is)[1]
+    z = families.draw(q_params, rng, n_is)
+    log_w = log_joint(model, z) - families.log_density(q_params, z)
     if np.all(np.isneginf(log_w)):
         raise ValueError("all importance weights are zero; estimate undefined")
     log_evidence = float(logsumexp(log_w) - np.log(n_is))
-    f = draw_f(q_params, model, rng, n_elbo)[1]
+    z = families.draw(q_params, rng, n_elbo)
+    f = families.log_density(q_params, z) - log_joint(model, z)
     return log_evidence, -float(np.mean(f)), log_variance_loss(f)

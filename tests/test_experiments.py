@@ -12,7 +12,7 @@ from vargrad_lab.analysis import (
     paired_difference_from_estimates,
     replicate_estimates,
 )
-from vargrad_lab.estimators import REINFORCE_TAG, VARGRAD_TAG, draw_f
+from vargrad_lab.estimators import REINFORCE_TAG, VARGRAD_TAG, build_batch
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
     cov_f_score2_analytic,
@@ -524,8 +524,8 @@ def test_train_logreg_writes_the_log_variance_loss_of_the_elbo_batch(tmp_path):
     model = synth_logreg_dataset(split_stream(64, "logreg-data"), N=40, D=3)
     q = DiagGaussianParams(mean=np.zeros(4), log_std=np.zeros(4))
     rng = split_stream(64, "diag-evidence", 0)
-    draw_f(q, model, rng, 2000)
-    f = draw_f(q, model, rng, 500)[1]
+    families.draw(q, rng, 2000)
+    f = build_batch(q, model, families.draw(q, rng, 500))[0]
     step0 = [r for r in rows if r["step"] == 0]
     assert {r["log_variance_loss"] for r in step0} == {0.5 * float(np.var(f, ddof=1))}
     assert all(r["log_variance_loss"] > 0.0 for r in rows)

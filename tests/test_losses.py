@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from vargrad_lab.estimators import draw_f
+from vargrad_lab import families
+from vargrad_lab.estimators import build_batch
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.losses import (
     evidence_and_elbo,
@@ -38,7 +39,7 @@ def c2_setting(d=1):
 
 
 def draw_f_values(q, t, seed, S):
-    return draw_f(q, t, np.random.default_rng(seed), S)[1]
+    return build_batch(q, t, families.draw(q, np.random.default_rng(seed), S))[0]
 
 
 # ------------------------------------------------------------- log variance

@@ -8,7 +8,12 @@ import scipy.special
 from scipy.special import expit
 
 from vargrad_lab.analysis import exact_kl_and_gradient
-from vargrad_lab.families import MeanFieldBernoulliParams, support_states
+from vargrad_lab.families import (
+    DiagGaussianParams,
+    MeanFieldBernoulliParams,
+    log_density,
+    support_states,
+)
 from vargrad_lab.targets import (
     PRIOR_B_VAR,
     PRIOR_W_VAR,
@@ -241,7 +246,8 @@ def test_strong_one_dim_generator_separates_labels():
 
 
 def test_from_posterior_recovers_probs_and_evidence():
-    model = DiscreteToyModel.from_posterior(np.array([0.2, 0.8]), log_evidence=1.5)
+    table = DiscreteToyModel.from_posterior(np.array([0.2, 0.8])).log_joint_table
+    model = DiscreteToyModel(log_joint_table=table + 1.5)
     posterior = np.exp(model.log_joint_table - model.log_evidence)
     np.testing.assert_allclose(posterior, [0.2, 0.8], atol=1e-12)
     assert model.log_evidence == pytest.approx(1.5, abs=1e-12)
@@ -254,12 +260,45 @@ def test_discrete_log_joint_ratio():
     assert diff == pytest.approx(math.log(4.0), abs=1e-12)
 
 
-def test_discrete_log_joint_rounds_within_tolerance_only():
-    model = DiscreteToyModel.from_posterior(np.array([0.2, 0.8]))
-    ok = log_joint(model, np.array([1.0 + 1e-10]))
-    assert ok == pytest.approx(float(log_joint(model, np.array([1.0]))), abs=1e-12)
-    with pytest.raises(ValueError):
-        log_joint(model, np.array([1.0 + 1e-6]))
+def test_binary_latents_must_be_exactly_zero_or_one():
+    # the discrete log joint and the Bernoulli log density share one rule:
+    # no rounding, even 1e-10 off {0, 1} is refused
+    model = DiscreteToyModel.from_posterior(np.array([0.1, 0.2, 0.3, 0.4]))
+    q = MeanFieldBernoulliParams(logits=np.array([0.5, -0.2]))
+    for evaluate in (lambda z: log_joint(model, z), lambda z: log_density(q, z)):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            evaluate(np.array([0.0, 1.0 + 1e-10]))
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            evaluate(np.array([[0.0, 1.0], [1e-10, 0.0]]))
+    np.testing.assert_array_equal(log_joint(model, support_states(2)), model.log_joint_table)
+    theta = q.probs
+    np.testing.assert_allclose(
+        log_density(q, np.array([[0.0, 1.0], [1.0, 0.0]])),
+        [np.log((1 - theta[0]) * theta[1]), np.log(theta[0] * (1 - theta[1]))],
+        rtol=1e-12,
+    )
+
+
+def test_one_latent_gives_the_batched_row_as_a_0d_value():
+    # a latent of shape (D,) gives a numpy value of shape (), not a Python
+    # float, equal to row 0 of the same latents evaluated as a batch. The
+    # logreg row differs in the last bit: a one-row matrix product takes
+    # another BLAS kernel (about 2e-16 relative here).
+    rng = np.random.default_rng(5)
+    z_real = rng.normal(size=(3, 4))
+    z_bits = support_states(2)[[3, 1, 2]]
+    cases = [
+        (log_density, DiagGaussianParams(rng.normal(size=4), rng.normal(size=4)), z_real, 0.0),
+        (log_density, MeanFieldBernoulliParams(logits=np.array([0.3, -1.2])), z_bits, 0.0),
+        (log_joint, GaussianTarget(np.ones(4), np.full(4, 2.0), 0.5), z_real, 0.0),
+        (log_joint, synth_logreg_dataset(np.random.default_rng(3), N=20, D=3), z_real, 1e-15),
+        (log_joint, DiscreteToyModel.from_posterior(np.array([0.1, 0.2, 0.3, 0.4])), z_bits, 0.0),
+    ]
+    for evaluate, model, z, rtol in cases:
+        one, batch = evaluate(model, z[0]), evaluate(model, z)
+        assert np.shape(one) == () and one.dtype == np.float64
+        assert batch.shape == (3,)
+        np.testing.assert_allclose(one, batch[0], rtol=rtol, atol=0.0)
 
 
 def test_discrete_state_indexing_uses_low_bit_first():
@@ -330,7 +369,8 @@ def test_exact_gradient_matches_finite_differences():
 
 def test_exact_kl_uses_enumerated_support_consistently():
     # recompute KL by brute force over states and compare
-    model = DiscreteToyModel.from_posterior(np.array([0.1, 0.2, 0.3, 0.4]), log_evidence=0.7)
+    table = DiscreteToyModel.from_posterior(np.array([0.1, 0.2, 0.3, 0.4])).log_joint_table
+    model = DiscreteToyModel(log_joint_table=table + 0.7)
     q = MeanFieldBernoulliParams(logits=np.array([0.5, -0.2]))
     theta = q.probs
     states = support_states(2)
