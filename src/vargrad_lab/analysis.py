@@ -352,8 +352,7 @@ def gaussian_sup_ratio(q_params: DiagGaussianParams, target: GaussianTarget) -> 
     for every k; the supremum then factorises over coordinates and each
     factor peaks where the quadratic exponent is stationary.
     """
-    if q_params.dim != target.dim:
-        raise ValueError("q and target dimensions differ")
+    losses.require_same_dim(q_params, target)
     s2, s2t = q_params.var, target.post_var
     if not np.all(s2 < s2t):
         raise ValueError("sup q/p is infinite unless q_var < post_var in every coordinate")

@@ -148,13 +148,6 @@ class MeanFieldBernoulliParams:
         """Success probabilities, clamped into [PROB_EPS, 1 - PROB_EPS]."""
         return expit(self.clipped_logits)
 
-    def to_vector(self) -> np.ndarray:
-        return self.logits.copy()
-
-    @classmethod
-    def from_vector(cls, phi) -> "MeanFieldBernoulliParams":
-        return cls(logits=phi)
-
 
 Params = DiagGaussianParams | MeanFieldBernoulliParams
 

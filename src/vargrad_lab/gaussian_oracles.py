@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .families import DiagGaussianParams
-from .losses import kl_gaussian_closed_form
+from .losses import kl_gaussian_closed_form, require_same_dim
 from .targets import GaussianTarget
 
 MEAN_CONVENTION = "mean"
@@ -92,11 +92,6 @@ def delta_var_large_s(dmu: float, dsigma2: float) -> float:
     return dmu**4 + 6.0 * dmu**2 * dsigma2 + 5.0 * dsigma2**2
 
 
-def _check_pair(q_params: DiagGaussianParams, target: GaussianTarget) -> None:
-    if q_params.dim != target.dim:
-        raise ValueError("q and target dimensions differ")
-
-
 def convention_coordinate(
     q_params: DiagGaussianParams, k: int, convention: str
 ) -> tuple[int, float]:
@@ -118,10 +113,7 @@ def convention_coordinate(
 
 
 def cov_f_score2_analytic(
-    q_params: DiagGaussianParams,
-    target: GaussianTarget,
-    k: int,
-    convention: str = MEAN_CONVENTION,
+    q_params: DiagGaussianParams, target: GaussianTarget, k: int, convention: str
 ) -> float:
     """Closed-form Cov_q(f, score_k^2) for coordinate k of a diagonal pair:
     the squared chain factor of the convention times delta_cv_analytic and
@@ -134,7 +126,7 @@ def cov_f_score2_analytic(
     Only coordinate k of f contributes since the coordinates are
     independent, and the evidence constant drops out of every covariance.
     """
-    _check_pair(q_params, target)
+    require_same_dim(q_params, target)
     i, factor = convention_coordinate(q_params, k, convention)
     cov = delta_cv_analytic(q_params, target)[i] * score_variance_analytic(q_params)[i]
     return factor * float(cov)
@@ -156,7 +148,7 @@ def delta_cv_analytic(q_params: DiagGaussianParams, target: GaussianTarget) -> n
         mean_k:    sigma_k^2 / sigma_tilde_k^2 - 1
         log_std_k: 2 (sigma_k^2 / sigma_tilde_k^2 - 1)
     """
-    _check_pair(q_params, target)
+    require_same_dim(q_params, target)
     base = q_params.var / target.post_var - 1.0
     return np.concatenate([base, 2.0 * base])
 
@@ -168,6 +160,5 @@ def optimal_a_analytic(q_params: DiagGaussianParams, target: GaussianTarget) -> 
     is the expectation of the batch-mean coefficient and the second is the
     correction term. Returns length 2D, ordered (means, log-stds).
     """
-    _check_pair(q_params, target)
     expected_coeff = kl_gaussian_closed_form(q_params, target) - target.log_evidence
     return expected_coeff + delta_cv_analytic(q_params, target)

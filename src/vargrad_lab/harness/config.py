@@ -22,15 +22,6 @@ from typing import Any
 
 from ..analysis import MIN_JACKKNIFE_N
 
-EXPERIMENTS = (
-    "train-logreg",
-    "variance-sweep",
-    "delta-ratio",
-    "gaussian-oracles",
-    "unbiasedness",
-    "cv-comparison",
-)
-
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
 _REQUIRED = object()
@@ -128,6 +119,9 @@ _SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "cv.a_grid": FieldSpec("list_float", None),
     },
 }
+
+# The experiment names, in the CLI's subcommand order.
+EXPERIMENTS = tuple(_SCHEMAS)
 
 _COMMON_KEYS = ("experiment", "seed", "out")
 

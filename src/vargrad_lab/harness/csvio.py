@@ -26,13 +26,13 @@ def format_cell(value: Any) -> str:
 
 
 def write_csv(
-    path, header: Sequence[str], rows: list[tuple], metadata: Mapping[str, Any] | None = None
+    path, header: Sequence[str], rows: list[tuple], metadata: Mapping[str, Any]
 ) -> None:
     """Write the rows under header; every row must have the header's width."""
     if not header or not rows:
         raise ValueError("write_csv needs at least one column and one row")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in (metadata or {}).items():
+        for key, value in metadata.items():
             fh.write(f"# {key} = {format_cell(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -73,7 +73,8 @@ def _z_score(mean: float, exact: float, se: float) -> float:
         return 0.0
     if se > 0.0:
         return (mean - exact) / se
-    return math.inf
+    # a gap with no spread is infinitely many SEs off, on the gap's side
+    return math.copysign(math.inf, mean - exact)
 
 
 def _block_rows(block: dict[str, Any]) -> Iterator[tuple]:

@@ -29,6 +29,12 @@ def log_variance_loss(f: np.ndarray) -> float:
     return 0.5 * float(np.var(f, ddof=1))
 
 
+def require_same_dim(q_params: DiagGaussianParams, target: GaussianTarget) -> None:
+    """Raise ValueError unless q and the Gaussian target have the same dimension."""
+    if q_params.dim != target.dim:
+        raise ValueError("q and target dimensions differ")
+
+
 def kl_gaussian_closed_form(q_params: DiagGaussianParams, target: GaussianTarget) -> float:
     """KL(q || posterior) for diagonal Gaussians:
     sum_k [ (x_k - log(1 + x_k)) / 2 + (q_mean_k - post_mean_k)^2 / (2 post_var_k) ]
@@ -42,8 +48,7 @@ def kl_gaussian_closed_form(q_params: DiagGaussianParams, target: GaussianTarget
     precision (a variance gap of 1e-8 gives 2.5e-17, not 0). Elsewhere
     log(1 + x) is 2 log_std - log post_var, finite even where x + 1
     underflows."""
-    if q_params.dim != target.dim:
-        raise ValueError("q and target dimensions differ")
+    require_same_dim(q_params, target)
     x = q_params.var / target.post_var - 1.0
     log_r = 2.0 * q_params.log_std - np.log(target.post_var)
     near = np.abs(x) <= 0.5
@@ -60,8 +65,7 @@ def kl_gaussian_gradient(q_params: DiagGaussianParams, target: GaussianTarget) -
     """Exact gradient of kl_gaussian_closed_form in the (mean, log_std)
     coordinates: d/d mean_k = (mean_k - post_mean_k)/post_var_k and
     d/d log_std_k = q_var_k/post_var_k - 1."""
-    if q_params.dim != target.dim:
-        raise ValueError("q and target dimensions differ")
+    require_same_dim(q_params, target)
     d_mean = (q_params.mean - target.post_mean) / target.post_var
     d_log_std = q_params.var / target.post_var - 1.0
     return np.concatenate([d_mean, d_log_std])

@@ -12,6 +12,7 @@ unbiasedness checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,15 +236,15 @@ def synth_logreg_dataset(rng: np.random.Generator, N: int, D: int) -> LogRegMode
     """Synthetic logistic-regression data.
 
     Draw order (fixed for reproducibility): design matrix X uniform on
-    [-1, 1]^{N x D}, weights from N(0, 25 Id), bias from N(0, 1), then labels
-    Y ~ Bernoulli(sigmoid(X w + b)). The inference prior mirrors the
-    generating distributions.
+    [-1, 1]^{N x D}, weights from N(0, PRIOR_W_VAR Id), bias from
+    N(0, PRIOR_B_VAR), then labels Y ~ Bernoulli(sigmoid(X w + b)). The
+    inference prior mirrors the generating distributions.
     """
     if N < 1 or D < 1:
         raise ValueError("N and D must be >= 1")
     X = rng.uniform(-1.0, 1.0, size=(N, D))
-    w = rng.normal(0.0, 5.0, size=D)
-    b = float(rng.normal(0.0, 1.0))
+    w = rng.normal(0.0, math.sqrt(PRIOR_W_VAR), size=D)
+    b = float(rng.normal(0.0, math.sqrt(PRIOR_B_VAR)))
     p = expit(X @ w + b)
     y = (rng.random(N) < p).astype(float)
     return LogRegModel(X=X, y=y)

@@ -466,6 +466,24 @@ def test_sweep_condition_is_finite_next_to_the_posterior(tmp_path, capsys):
     assert rows[0]["condition_value"] < 0.0  # delta > 0 over a negative ELBO
 
 
+def test_zero_se_z_score_takes_the_sign_of_the_gap(tmp_path):
+    # at logit 20 the cv and vargrad replicates have no spread, and their
+    # means (about 1e-13 and 1e-16) sit below the exact gradient 1.7e-6
+    cfg = write_cfg(
+        tmp_path,
+        "experiment = unbiasedness\nseed = 1\ntoy.dims = 1\ntoy.logits = [20]\n"
+        "toy.s = 3\ntoy.replicates = 500\n",
+    )
+    out = tmp_path / "z.csv"
+    assert cli.main(["unbiasedness", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = {r["estimator"]: r for r in read_csv(out)[2]}
+    for name in ("cv", "vargrad"):
+        r = rows[name]
+        assert r["mean_se"] == 0.0 and r["replicate_mean"] < r["exact_grad"]
+        assert r["z_score"] == -math.inf and r["within_4se"] == 0
+    assert rows["reinforce"]["z_score"] < 0.0  # the same side, with a tiny SE
+
+
 @pytest.mark.parametrize(
     "experiment, body",
     [

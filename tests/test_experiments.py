@@ -20,7 +20,7 @@ from vargrad_lab.gaussian_oracles import (
     delta_var_analytic,
     optimal_a_analytic,
 )
-from vargrad_lab.harness.config import ConfigError, ExperimentConfig, parse_config
+from vargrad_lab.harness.config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config
 from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.harness.experiments import (
     _SPAN_REPLICATES,
@@ -50,6 +50,10 @@ def gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde):
     q = DiagGaussianParams(mean=np.array([mu]), log_std=np.array([0.5 * math.log(sigma2)]))
     t = GaussianTarget(post_mean=np.array([mu_tilde]), post_var=np.array([float(sigma2_tilde)]))
     return q, t
+
+
+def test_runner_table_lists_the_experiments_in_order():
+    assert tuple(RUNNERS) == EXPERIMENTS
 
 
 # ------------------------------------------------------------- unbiasedness

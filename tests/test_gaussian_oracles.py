@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from vargrad_lab.analysis import gaussian_sup_ratio
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
     CONVENTIONS,
@@ -21,7 +22,7 @@ from vargrad_lab.gaussian_oracles import (
     optimal_a_analytic,
     score_variance_analytic,
 )
-from vargrad_lab.losses import kl_gaussian_closed_form
+from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
 from vargrad_lab.targets import GaussianTarget
 
 from oracles import (
@@ -111,6 +112,21 @@ def test_delta_var_validates_inputs():
         delta_var_analytic(*pair(0, 1.0, 0, 1.0, d=2), 4)  # the closed form is 1-D
     with pytest.raises(ValueError):
         delta_var_analytic(q, pair(0, 1.0, 0, 1.0, d=2)[1], 4)
+    # every public caller of losses.require_same_dim refuses a 1-D q against
+    # a 2-D target, which numpy would broadcast; post_var 2 > q's var 1, so
+    # q has the lighter tails gaussian_sup_ratio needs
+    t2 = pair(0, 1.0, 0, 2.0, d=2)[1]
+    callers = [
+        kl_gaussian_closed_form,
+        kl_gaussian_gradient,
+        gaussian_sup_ratio,
+        delta_cv_analytic,
+        optimal_a_analytic,
+        lambda q, t: cov_f_score2_analytic(q, t, 0, "mean"),
+    ]
+    for caller in callers:
+        with pytest.raises(ValueError, match="dimensions differ"):
+            caller(q, t2)
 
 
 def test_delta_var_with_evidence_matches_quadrature_reference():

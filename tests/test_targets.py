@@ -223,6 +223,22 @@ def test_synth_dataset_follows_documented_draw_order():
     np.testing.assert_array_equal(m.y, (rng.random(30) < expit(X @ w + b)).astype(float))
 
 
+def test_synth_dataset_draws_at_the_prior_scales():
+    """Replayed with scales sqrt(PRIOR_W_VAR) and sqrt(PRIOR_B_VAR), the
+    generator's stream gives the same X, w, b and y bits as synth_logreg_dataset
+    and as the documented scales 5 and 1."""
+    m = synth_logreg_dataset(np.random.default_rng(37), N=1000, D=3)
+    rng = np.random.default_rng(37)
+    X = rng.uniform(-1.0, 1.0, size=(1000, 3))
+    w = rng.normal(0.0, math.sqrt(PRIOR_W_VAR), size=3)
+    b = float(rng.normal(0.0, math.sqrt(PRIOR_B_VAR)))
+    y = (rng.random(1000) < expit(X @ w + b)).astype(float)
+    X5, w5, b5, _ = redraw_generator(37, 1000, 3)
+    assert X.tobytes() == m.X.tobytes() == X5.tobytes()
+    assert w.tobytes() == w5.tobytes() and b == b5
+    assert y.tobytes() == m.y.tobytes()
+
+
 def test_synth_dataset_labels_follow_generator():
     m = synth_logreg_dataset(np.random.default_rng(23), N=2000, D=4)
     _, w, b, _ = redraw_generator(23, 2000, 4)
