@@ -340,8 +340,9 @@ def exact_kl_and_gradient(
     states = families.support_states(discrete.dim)
     q = families.support_probs(params, states)
     r = families.log_density(params, states) - (discrete.log_joint_table - discrete.log_evidence)
-    states -= params.probs  # the scores, in place
-    kl, _, _, grad, _ = moments(r, states, q)
+    scores = families.score(params, (states,), 1.0)
+    del states  # freed before moments squares the scores: two (2^D, D) arrays at most
+    kl, _, _, grad, _ = moments(r, scores, q)
     return float(kl), grad
 
 

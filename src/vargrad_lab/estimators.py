@@ -12,8 +12,9 @@ unbiased empirical variance of the f values with the samples held fixed. It
 is Reinforce with the batch mean of f as its control-variate coefficient,
 the baseline of Kool, van Hoof and Welling (2019).
 
-The estimator math has three pieces. Draws to f and scores: build_batch
-gives f and the scores of given draws. Draws to batch sums:
+The estimator math has three pieces; the first two map score statistics
+to scores with families.score. Draws to f and scores: build_batch gives f
+and the scores of given draws. Draws to batch sums:
 batch_sums_from_draws, the replicate kernel, reduces (R, S) batches of
 draws to the three sums every estimator is a function of, from the
 family's score statistics and without a score array. Sums to estimates:
@@ -76,7 +77,7 @@ def batch_sums_from_draws(params: Params, target: Target, z: np.ndarray) -> Batc
     log q and the family's score statistics come from one pass over z
     (families.log_density with with_stats). The score is affine in the
     statistics, so the sums of f x, x and f over each batch's samples give
-    the (R, P) score sums through families.score_from_stats. Each batch is
+    the (R, P) score sums through families.score. Each batch is
     reduced on its own, so its sums do not depend on R: at D = 1 and
     S >= _PAIRWISE_MIN_S pairwise along its contiguous samples, otherwise
     left to right over a sample-major (S, R, D) copy, each step adding a
@@ -95,9 +96,9 @@ def batch_sums_from_draws(params: Params, target: Target, z: np.ndarray) -> Batc
     w = f[..., None]
     f_sum = sum_s(w)
     return BatchSums(
-        f_dot_score=families.score_from_stats(params, [sum_s(w * x) for x in stats], f_sum),
+        f_dot_score=families.score(params, [sum_s(w * x) for x in stats], f_sum),
         f_sum=f_sum,
-        score_sum=families.score_from_stats(params, [sum_s(x) for x in stats], S),
+        score_sum=families.score(params, [sum_s(x) for x in stats], S),
         S=S,
     )
 
@@ -139,10 +140,12 @@ def cv_coefficient(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
 def build_batch(params: Params, target: Target, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f, shape (n,), and the scores, shape (n, P), of n draws z (n, D).
 
+    log q and each draw's score statistics come from one log_density pass.
     Draws are detached by construction: scores come from the closed-form
     score function, so no parameter dependence flows through the samples.
     """
-    return families.log_density(params, z) - log_joint(target, z), families.score(params, z)
+    lq, stats = families.log_density(params, z, with_stats=True)
+    return lq - log_joint(target, z), families.score(params, stats, 1.0)
 
 
 def vargrad(params: Params, target: Target, z: np.ndarray) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Two mean-field families are provided: a diagonal Gaussian parameterised by
 free mean and log standard deviation vectors, and a mean-field Bernoulli
-parameterised by logits. Both expose exact log-densities, analytic score
-functions (the gradient of log q with respect to the parameters), and
-sampling. Scores are closed-form on purpose: samples never carry parameter
+parameterised by logits. Both expose sampling and exact log-densities.
+log_density also returns the per-coordinate statistics log q is a function
+of, and score maps those statistics, or weighted sums of them, to the
+analytic score (the gradient of log q with respect to the parameters).
+Scores are closed-form on purpose: samples never carry parameter
 dependence, so the stop-gradient semantics of the estimators downstream
 holds by construction rather than by autodiff bookkeeping.
 
@@ -176,27 +178,10 @@ def draw(params: Params, rng: np.random.Generator, S: int) -> np.ndarray:
     raise TypeError(f"unknown family: {type(params).__name__}")
 
 
-def _check_last_axis(z: np.ndarray, d: int) -> None:
-    if z.ndim == 0 or z.shape[-1] != d:
-        raise ValueError(f"latent dimension mismatch: expected {d}, got shape {z.shape}")
-
-
 def require_binary(z: np.ndarray) -> None:
     """Refuse binary latents that are not exactly 0 or 1."""
     if not np.all((z == 0.0) | (z == 1.0)):
         raise ValueError("binary latents must be exactly 0 or 1")
-
-
-def _score_stats(params: Params, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    if isinstance(params, DiagGaussianParams):
-        u = z - params.mean
-        t = u**2
-        t /= params.var  # in place: the same bits as u**2 / var
-        return u, t
-    if isinstance(params, MeanFieldBernoulliParams):
-        require_binary(z)
-        return (z,)
-    raise TypeError(f"unknown family: {type(params).__name__}")
 
 
 def log_density(params: Params, z, *, with_stats: bool = False):
@@ -206,24 +191,32 @@ def log_density(params: Params, z, *, with_stats: bool = False):
     With with_stats it returns (log q(z), stats) instead, both from one pass
     over z: stats are the per-coordinate arrays, each shaped like z, that
     log q and the score are functions of, u = z - mean and u^2 / sigma^2 for
-    the Gaussian, z itself for the Bernoulli. score_from_stats maps them,
-    or weighted sums of them, to scores.
+    the Gaussian, z itself for the Bernoulli. score maps them, or weighted
+    sums of them, to scores.
     """
     z = np.asarray(z, dtype=float)
-    _check_last_axis(z, params.dim)
-    stats = _score_stats(params, z)
+    if z.ndim == 0 or z.shape[-1] != params.dim:
+        raise ValueError(f"latent dimension mismatch: expected {params.dim}, got shape {z.shape}")
     if isinstance(params, DiagGaussianParams):
-        out = _gaussian_log_density_of_square(stats[1], params.var)
-    else:
+        u = z - params.mean
+        t = u**2
+        t /= params.var  # in place: the same bits as u**2 / var
+        stats = (u, t)
+        out = _gaussian_log_density_of_square(t, params.var)
+    elif isinstance(params, MeanFieldBernoulliParams):
+        require_binary(z)
+        stats = (z,)
         # z*log(theta) + (1-z)*log(1-theta) == z*logit - softplus(logit)
         logit = params.clipped_logits
         terms = z * logit
         terms -= np.logaddexp(0.0, logit)  # in place: one (..., D) temporary
         out = np.sum(terms, axis=-1)
+    else:
+        raise TypeError(f"unknown family: {type(params).__name__}")
     return (out, stats) if with_stats else out
 
 
-def score_from_stats(params: Params, stat_sums, weight_sum) -> np.ndarray:
+def score(params: Params, stat_sums, weight_sum) -> np.ndarray:
     """sum_s w_s score(z_s), shape (..., P), from sum_s w_s x_s for each
     score statistic x (see log_density), each (..., D), and
     sum_s w_s, a scalar or (..., 1). The score is affine in the statistics:
@@ -232,8 +225,8 @@ def score_from_stats(params: Params, stat_sums, weight_sum) -> np.ndarray:
     d/d log_std_k = u_k^2 / sigma_k^2 - 1. Bernoulli:
     d/d logit_k = z_k - theta_k.
 
-    One draw with weight 1 gives its score; weights f over a batch give
-    sum_s f_s score_s, and unit weights the score sum.
+    One draw's statistics with weight 1 give its score d log q(z) / d phi;
+    weights f over a batch give sum_s f_s score_s, unit weights the sum.
     """
     if isinstance(params, DiagGaussianParams):
         u_sum, t_sum = stat_sums
@@ -246,14 +239,6 @@ def score_from_stats(params: Params, stat_sums, weight_sum) -> np.ndarray:
         (z_sum,) = stat_sums
         return z_sum - weight_sum * params.probs
     raise TypeError(f"unknown family: {type(params).__name__}")
-
-
-def score(params: Params, z) -> np.ndarray:
-    """d log q(z) / d phi for z of shape (..., D); returns shape (..., P),
-    the formulas of score_from_stats."""
-    z = np.asarray(z, dtype=float)
-    _check_last_axis(z, params.dim)
-    return score_from_stats(params, _score_stats(params, z), 1.0)
 
 
 def support_states(d: int) -> np.ndarray:

@@ -12,6 +12,7 @@ the encoding is UTF-8. Identical inputs must produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import os
 from typing import Any, Mapping, Sequence
 
 
@@ -28,18 +29,27 @@ def format_cell(value: Any) -> str:
 def write_csv(
     path, header: Sequence[str], rows: list[tuple], metadata: Mapping[str, Any]
 ) -> None:
-    """Write the rows under header; every row must have the header's width."""
+    """Write the rows under header; every row must have the header's width.
+    A failed write removes the partly written file if it is a regular file.
+    It writes in place: renaming a temporary file over the path would
+    replace an output such as /dev/null."""
     if not header or not rows:
         raise ValueError("write_csv needs at least one column and one row")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in metadata.items():
-            fh.write(f"# {key} = {format_cell(value)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(f"row width {len(row)} != header width {len(header)}")
-            writer.writerow([format_cell(v) for v in row])
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            for key, value in metadata.items():
+                fh.write(f"# {key} = {format_cell(value)}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                if len(row) != len(header):
+                    raise ValueError(f"row width {len(row)} != header width {len(header)}")
+                writer.writerow([format_cell(v) for v in row])
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def _parse_scalar(text: str) -> Any:

@@ -2,9 +2,10 @@
 
 Nothing here reuses the closed forms under test. Gaussian moments come from
 adaptive quadrature, discrete expectations from exhaustive enumeration,
-multi-sample variances from a direct expansion over i.i.d. draws, and
-estimator sums from formed per-draw scores, so agreement with the library is
-evidence rather than tautology.
+multi-sample variances from a direct expansion over i.i.d. draws, per-draw
+scores from the score formulas written out, and estimator sums from formed
+per-draw scores, so agreement with the library is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from vargrad_lab.estimators import BatchSums
+from vargrad_lab.families import DiagGaussianParams, Params
 
 # Integration window in posterior standard deviations. The integrands decay
 # like a Gaussian times a polynomial, so 14 sd puts the tail mass far below
@@ -186,6 +188,18 @@ def sample_variance_ref(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     m = x.mean()
     return float(((x - m) ** 2).sum() / (x.size - 1))
+
+
+def score_ref(params: Params, z) -> np.ndarray:
+    """d log q(z) / d phi, shape (..., P), for draws z (..., D): for a
+    diagonal Gaussian, with u = z - mean, u / sigma^2 for the means and
+    u^2 / sigma^2 - 1 for the log-stds; for a mean-field Bernoulli, z - theta
+    for the logits."""
+    z = np.asarray(z, dtype=float)
+    if isinstance(params, DiagGaussianParams):
+        u = z - params.mean
+        return np.concatenate([u / params.var, u**2 / params.var - 1.0], axis=-1)
+    return z - params.probs
 
 
 def batch_sums(f: np.ndarray, scores: np.ndarray) -> BatchSums:

@@ -30,7 +30,6 @@ from vargrad_lab.families import (
     MeanFieldBernoulliParams,
     draw,
     log_density,
-    score,
     support_probs,
     support_states,
 )
@@ -46,7 +45,7 @@ from vargrad_lab.harness.experiments import RUNNERS
 from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
 from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, log_joint
 
-from oracles import cov_f_score2_ref, vargrad_via_loss
+from oracles import cov_f_score2_ref, score_ref, vargrad_via_loss
 
 
 def gauss(mean, log_std):
@@ -123,7 +122,7 @@ def test_replicate_estimates_stream_layout(monkeypatch, cap):
     def blocks(rng, n):
         z = draw(q, rng, R * n)
         f = log_density(q, z) - log_joint(t, z)
-        return z.reshape(R, n, -1), f.reshape(R, n), score(q, z).reshape(R, n, -1)
+        return z.reshape(R, n, -1), f.reshape(R, n), score_ref(q, z).reshape(R, n, -1)
 
     rng = np.random.default_rng(109)
     z, f, sc = blocks(rng, S)
@@ -364,7 +363,7 @@ def test_delta_cv_mc_jackknife_matches_brute_force(q, target):
     rep = delta_cv_mc(q, target, np.random.default_rng(seed), n)
     z = draw(q, np.random.default_rng(seed), n)
     f = log_density(q, z) - log_joint(target, z)
-    sc = score(q, z)
+    sc = score_ref(q, z)
     cov_t, delta_t, ratio_t = [], [], []
     for i in range(n):
         fi, si = np.delete(f, i), np.delete(sc, i, axis=0)
@@ -540,7 +539,7 @@ def test_delta_cv_mc_covariance_is_the_delta_numerator():
     rep = delta_cv_mc(q, t, np.random.default_rng(120), 1000)
     z = draw(q, np.random.default_rng(120), 1000)
     f = log_density(q, z) - log_joint(t, z)
-    sc = score(q, z)
+    sc = score_ref(q, z)
     want = np.array([np.cov(f, sc[:, i] ** 2)[0, 1] for i in range(4)])
     np.testing.assert_allclose(rep.cov, want, rtol=1e-10)
     np.testing.assert_allclose(rep.delta_cv, rep.cov / sc.var(axis=0, ddof=1), rtol=1e-10)

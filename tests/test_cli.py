@@ -18,7 +18,7 @@ import pytest
 
 import vargrad_lab
 from vargrad_lab import analysis
-from vargrad_lab.harness import cli
+from vargrad_lab.harness import cli, csvio
 from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.optim import NonFiniteGradientError
 
@@ -97,6 +97,29 @@ def test_unwritable_output_directory(tmp_path, capsys):
     code = cli.main(["unbiasedness", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert "cannot write output" in capsys.readouterr().err
+
+
+def test_failed_csv_write_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    # a write that fails part way, as on a full disk: CFG's CSV has 10
+    # metadata cells and 3 rows of 8, so call 30 is inside the last row.
+    # Exit 2 with one line, and no partly written file is left.
+    real, calls = csvio.format_cell, []
+
+    def format_cell(value):
+        calls.append(value)
+        if len(calls) == 30:
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+        return real(value)
+
+    monkeypatch.setattr(csvio, "format_cell", format_cell)
+    out = tmp_path / "u.csv"
+    code = cli.main(["unbiasedness", "--config", str(write_cfg(tmp_path)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert err == f"config error: cannot write output: {reason}\n"
+    assert len(calls) == 30
+    assert not out.exists()
 
 
 def test_numerical_abort_exit_code(tmp_path, capsys, monkeypatch):

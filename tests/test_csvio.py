@@ -1,6 +1,7 @@
 """CSV writing and reading: exact round trips and strict row widths."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -128,6 +129,18 @@ def test_row_schema_mismatch(tmp_path):
         write_csv(path, HEADER, [first, ("a", 1)], {})
     with pytest.raises(ValueError, match="row width 5 != header width 4"):
         write_csv(path, HEADER, [first, first + (9,)], {})
+    assert not path.exists()  # the partly written file is removed
+
+
+def test_failed_write_removes_only_a_regular_file(tmp_path, monkeypatch):
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    bad = [("a", 1, 0.0, True), ("a", 1)]
+    with pytest.raises(ValueError):
+        write_csv(os.devnull, HEADER, bad, {})
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", HEADER, bad, {})
+    assert removed == [tmp_path / "bad.csv"]
 
 
 def test_read_rejects_malformed_files(tmp_path):

@@ -115,7 +115,7 @@ def test_bernoulli_rejects_non_binary_z():
     with pytest.raises(ValueError):
         log_density(bern([0.0]), np.array([0.5]))
     with pytest.raises(ValueError):
-        score(bern([0.0]), np.array([2.0]))
+        log_density(bern([0.0]), np.array([2.0]), with_stats=True)
 
 
 def test_log_density_batches_along_leading_axes():
@@ -147,16 +147,22 @@ def test_bernoulli_probs_normalise_exactly():
 # -------------------------------------------------------------------- score
 
 
+def scores_of(params, z):
+    """Per-draw scores through the library: score on log_density's
+    statistics with unit weights."""
+    return score(params, log_density(params, z, with_stats=True)[1], 1.0)
+
+
 def test_score_closed_form_points():
     q = gauss([1.0, -2.0], [0.0, math.log(2.0)])
-    s = score(q, q.mean.copy())
+    s = scores_of(q, q.mean.copy())
     # at z = mean: mean block zero, log-std block -1
     np.testing.assert_allclose(s[:2], 0.0, atol=1e-14)
     np.testing.assert_allclose(s[2:], -1.0, atol=1e-14)
 
     b = bern([0.0])
-    assert score(b, np.array([1.0]))[0] == pytest.approx(0.5, abs=1e-14)
-    assert score(b, np.array([0.0]))[0] == pytest.approx(-0.5, abs=1e-14)
+    assert scores_of(b, np.array([1.0]))[0] == pytest.approx(0.5, abs=1e-14)
+    assert scores_of(b, np.array([0.0]))[0] == pytest.approx(-0.5, abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -175,7 +181,7 @@ def test_score_matches_finite_differences(build, phi, z):
         return float(log_density(build(phi), z))
 
     want = fd_gradient(logq_of_phi, phi, h=1e-5)
-    got = score(build(phi), z)
+    got = scores_of(build(phi), z)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
 
@@ -183,13 +189,13 @@ def test_score_mean_is_zero_in_expectation():
     rng = np.random.default_rng(11)
     q = gauss([0.5, -0.3], [0.1, 0.6])
     z = draw(q, rng, 200_000)
-    s = score(q, z)
+    s = scores_of(q, z)
     se = s.std(axis=0, ddof=1) / math.sqrt(z.shape[0])
     assert np.all(np.abs(s.mean(axis=0)) < 4.0 * se)
 
     b = bern([0.7])
     zb = draw(b, rng, 200_000)
-    sb = score(b, zb)
+    sb = scores_of(b, zb)
     se_b = sb.std(ddof=1) / math.sqrt(zb.shape[0])
     assert abs(sb.mean()) < 4.0 * se_b
 
@@ -197,7 +203,7 @@ def test_score_mean_is_zero_in_expectation():
 def test_score_shape_batches():
     q = gauss([0.0, 0.0], [0.0, 0.0])
     z = np.zeros((7, 2))
-    assert score(q, z).shape == (7, 4)
+    assert scores_of(q, z).shape == (7, 4)
 
 
 # ----------------------------------------------------------------- sampling

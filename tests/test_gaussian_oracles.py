@@ -32,6 +32,7 @@ from oracles import (
     gaussian_log_ratio,
     gaussian_pair_moments,
     reinforce_variance_ref,
+    score_ref,
     vargrad_variance_ref,
 )
 
@@ -252,11 +253,11 @@ def test_score_variance_analytic_values_and_quadrature():
 
 
 def test_score_variance_matches_simulation():
-    from vargrad_lab.families import draw, score
+    from vargrad_lab.families import draw
 
     q = gauss([0.5], [0.3])
     z = draw(q, np.random.default_rng(96), 200_000)
-    s = score(q, z)
+    s = score_ref(q, z)
     want = score_variance_analytic(q)
     got = s.var(axis=0, ddof=1)
     se = np.sqrt(2.0 / (z.shape[0] - 1)) * want  # normal-theory variance SE scale
