@@ -43,6 +43,12 @@ LOG_VARIANCE_CONVENTION = "log_variance"
 CONVENTIONS = (MEAN_CONVENTION, VARIANCE_CONVENTION, LOG_VARIANCE_CONVENTION)
 
 
+def expected_f_analytic(q_params: DiagGaussianParams, target: GaussianTarget) -> float:
+    """E_q f = E_q[log q - log p(x, z)] = KL(q || posterior) - log p(x), the
+    negative ELBO and the expectation of the batch-mean coefficient."""
+    return kl_gaussian_closed_form(q_params, target) - target.log_evidence
+
+
 def delta_var_analytic(q_params: DiagGaussianParams, target: GaussianTarget, S: int) -> float:
     """Var(Reinforce_mu) - Var(VarGrad_mu) for a 1-D pair, q = N(mu, sigma2)
     against the posterior N(mu_tilde, sigma2_tilde), with S samples per
@@ -72,7 +78,7 @@ def delta_var_analytic(q_params: DiagGaussianParams, target: GaussianTarget, S: 
     s2, s2t = float(q_params.var[0]), float(target.post_var[0])
     c1 = float(q_params.mean[0] - target.post_mean[0]) / s2t
     c2 = 0.5 * (1.0 / s2t - 1.0 / s2)
-    ef = kl_gaussian_closed_form(q_params, target) - target.log_evidence
+    ef = expected_f_analytic(q_params, target)
     out = ef * (ef + 4.0 * c2 * s2) / (s * s2) - 2.0 * (c1**2 + c2**2 * s2) / (s * (s - 1.0))
     # Python float products give inf silently where a power would raise
     if not math.isfinite(out):
@@ -156,9 +162,8 @@ def delta_cv_analytic(q_params: DiagGaussianParams, target: GaussianTarget) -> n
 def optimal_a_analytic(q_params: DiagGaussianParams, target: GaussianTarget) -> np.ndarray:
     """Analytic optimal control-variate coefficient per library coordinate.
 
-    a*_i = (KL - log p(x)) + Cov(f, score_i^2)/Var(score_i); the first term
-    is the expectation of the batch-mean coefficient and the second is the
-    correction term. Returns length 2D, ordered (means, log-stds).
+    a*_i = E f + Cov(f, score_i^2)/Var(score_i): expected_f_analytic, the
+    expectation of the batch-mean coefficient, plus the correction term.
+    Returns length 2D, ordered (means, log-stds).
     """
-    expected_coeff = kl_gaussian_closed_form(q_params, target) - target.log_evidence
-    return expected_coeff + delta_cv_analytic(q_params, target)
+    return expected_f_analytic(q_params, target) + delta_cv_analytic(q_params, target)

@@ -132,6 +132,8 @@ def main(argv=None, workers: int = 1) -> int:
         cfg = cfg.with_overrides(seed=args.seed, out=args.out)
         if cfg.out is None:
             raise ConfigError("no output path: set 'out' in the config or pass --out")
+        if "\0" in cfg.out:  # open() refuses it, but only after the run
+            raise ConfigError("the output path contains a NUL character")
         # an overflow aborts instead of writing inf; pool workers are forked
         # inside this block, so they inherit it
         with np.errstate(over="raise"):

@@ -38,6 +38,9 @@ class FieldSpec:
     minimum: float | None = None
 
 
+# A grid row's cells in order; the first four also name the delta.* and cv.* pair keys.
+GRID_COLUMNS = ("mu", "mu_tilde", "sigma2", "sigma2_tilde", "S")
+
 # The default sweep grid spans both signs of the variance difference and
 # includes the S = 9 zero crossing and a point inside the interval where the
 # plain estimator wins at large S.
@@ -201,6 +204,9 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
             fail("a non-empty list of integers")
         if spec.minimum is not None and min(value) < spec.minimum:
             raise ConfigError(f"key '{key}': entries must be >= {int(spec.minimum)}, got {value}")
+        # each entry keys its own stream, so a repeat would rerun the same draws
+        if len(set(value)) != len(value):
+            raise ConfigError(f"key '{key}': entries must be unique, got {value}")
         return list(value)
     if kind == "list_float":
         if not isinstance(value, list) or not value or any(
@@ -230,15 +236,15 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
         return probs
     if kind == "grid":
         if not isinstance(value, list) or not value:
-            fail("a non-empty list of [mu, mu_tilde, sigma2, sigma2_tilde, S] rows")
+            fail(f"a non-empty list of [{', '.join(GRID_COLUMNS)}] rows")
         rows = []
         for row in value:
             if (
                 not isinstance(row, list)
-                or len(row) != 5
+                or len(row) != len(GRID_COLUMNS)
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)
             ):
-                fail("rows of the form [mu, mu_tilde, sigma2, sigma2_tilde, S]")
+                fail(f"rows of the form [{', '.join(GRID_COLUMNS)}]")
             mu, mut, s2, s2t, s = row
             if s2 <= 0.0 or s2t <= 0.0:
                 raise ConfigError(f"key '{key}': variances must be positive in row {row}")
@@ -265,7 +271,7 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     raw: dict[str, Any] = {}

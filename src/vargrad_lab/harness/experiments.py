@@ -41,20 +41,22 @@ from ..gaussian_oracles import (
     delta_cv_analytic,
     delta_var_analytic,
     delta_var_large_s,
+    expected_f_analytic,
     optimal_a_analytic,
     score_variance_analytic,
 )
 from ..targets import DiscreteToyModel, GaussianTarget
-from .config import ConfigError, ExperimentConfig
+from .config import GRID_COLUMNS, ConfigError, ExperimentConfig
 from .csvio import write_csv
 from .pool import fork_map
 from .rng import split_stream
 
 
-def _replicated_gaussian_pair(
-    mu: float, sigma2: float, mu_tilde: float, sigma2_tilde: float, dims: int
+def _gaussian_pair(
+    mu: float, mu_tilde: float, sigma2: float, sigma2_tilde: float, dims: int = 1
 ) -> tuple[DiagGaussianParams, GaussianTarget]:
-    """The same 1-D (q, posterior) setting copied across dims coordinates."""
+    """q = N(mu, sigma2) against the posterior N(mu_tilde, sigma2_tilde) and
+    log p(x) = 0 in each of dims coordinates; arguments in GRID_COLUMNS order."""
     q = DiagGaussianParams(
         mean=np.full(dims, mu), log_std=np.full(dims, 0.5 * math.log(sigma2))
     )
@@ -213,11 +215,11 @@ def _sweep_span(
     (row i, span k, n replicates), drawn from the k-th jump of row i's
     stream; it depends only on (cfg, task)."""
     i, k, n = task
-    mu, mu_tilde, sigma2, sigma2_tilde, S = cfg["sweep.grid_points"][i]
-    q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
+    row = cfg["sweep.grid_points"][i]
+    q, target = _gaussian_pair(*row[:4])
     row_stream = split_stream(cfg.seed, "variance-sweep", i)
     rng = np.random.Generator(row_stream.bit_generator.jumped(k))
-    ests = analysis.replicate_estimates(q, target, rng, S, n, _SWEEP_SPECS)
+    ests = analysis.replicate_estimates(q, target, rng, row[4], n, _SWEEP_SPECS)
     # coordinate 0 is the mean derivative, the coordinate the closed form covers
     return ests["reinforce"][:, 0].copy(), ests["vargrad"][:, 0].copy()
 
@@ -236,32 +238,27 @@ def run_variance_sweep(cfg: ExperimentConfig, workers: int = 1) -> str:
     blocks = []
     span_fn = functools.partial(_sweep_span, cfg)
     with contextlib.closing(fork_map(span_fn, tasks, workers)) as results:
-        for mu, mu_tilde, sigma2, sigma2_tilde, S in grid:
+        for row in grid:
             xa, xb = np.empty((R, 1)), np.empty((R, 1))
             for start, stop in spans:
                 xa[start:stop, 0], xb[start:stop, 0] = next(results)
             pair = analysis.paired_difference_from_estimates(xa, xb)
             del xa, xb
-            q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
-            # for E f = -ELBO != 0, delta / ELBO < 1/2 is exactly A > 0, A the
-            # large-S term of delta_var_analytic: VarGrad beats Reinforce past
-            # S* = 1 + B / A. delta = 0 meets it trivially, even at ELBO = 0; a
-            # nonzero delta over ELBO = 0 is a ZeroDivisionError, a numerical abort.
+            q, target = _gaussian_pair(*row[:4])
+            # for E f != 0, delta / ELBO = delta / -E f < 1/2 is exactly A > 0,
+            # A the large-S term of delta_var_analytic: VarGrad beats Reinforce
+            # past S* = 1 + B / A. delta = 0 meets it trivially, even at E f = 0;
+            # a nonzero delta over E f = 0 is a ZeroDivisionError, a numerical abort.
             delta = float(delta_cv_analytic(q, target)[0])
-            elbo = target.log_evidence - losses.kl_gaussian_closed_form(q, target)
-            condition = delta / elbo if delta != 0.0 else 0.0
+            condition = delta / -expected_f_analytic(q, target) if delta != 0.0 else 0.0
             blocks.append(
                 {
-                    "mu": mu,
-                    "mu_tilde": mu_tilde,
-                    "sigma2": sigma2,
-                    "sigma2_tilde": sigma2_tilde,
-                    "S": S,
+                    **dict(zip(GRID_COLUMNS, row)),
                     "var_reinforce": float(pair.report_a.per_coordinate_variance[0]),
                     "var_vargrad": float(pair.report_b.per_coordinate_variance[0]),
                     "diff": float(pair.diff[0]),
                     "diff_se": float(pair.diff_se[0]),
-                    "analytic": delta_var_analytic(q, target, S),
+                    "analytic": delta_var_analytic(q, target, row[4]),
                     "condition_value": condition,
                     "condition_met": condition < 0.5,
                 }
@@ -270,15 +267,14 @@ def run_variance_sweep(cfg: ExperimentConfig, workers: int = 1) -> str:
 
 
 def run_delta_ratio(cfg: ExperimentConfig, workers: int = 1) -> str:
-    mu, sigma2 = cfg["delta.mu"], cfg["delta.sigma2"]
-    mu_tilde, sigma2_tilde = cfg["delta.mu_tilde"], cfg["delta.sigma2_tilde"]
+    pair = [cfg[f"delta.{name}"] for name in GRID_COLUMNS[:4]]
     n = cfg["delta.n_samples"]
     blocks = []
     for d in cfg["delta.dims"]:
-        q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=d)
+        q, target = _gaussian_pair(*pair, dims=d)
         report = analysis.delta_cv_mc(q, target, split_stream(cfg.seed, "delta-ratio", d), n)
         delta_pop = delta_cv_analytic(q, target)
-        a_pop = losses.kl_gaussian_closed_form(q, target) - target.log_evidence
+        a_pop = expected_f_analytic(q, target)
         # at q = posterior both coefficient expectations are 0 and no ratio exists
         ratio_defined = a_pop != 0.0 and report.a_vargrad_expectation != 0.0
         # Python floats, whose division gives inf where numpy's would raise
@@ -306,14 +302,11 @@ def run_gaussian_oracles(cfg: ExperimentConfig, workers: int = 1) -> str:
     grid = cfg["oracles.grid_points"]
     n_mc = cfg["oracles.mc_draws"]
     blocks = []
-    for i, (mu, mu_tilde, sigma2, sigma2_tilde, S) in enumerate(grid):
-        q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=1)
-        row = {
-            "mu": mu,
-            "mu_tilde": mu_tilde,
-            "sigma2": sigma2,
-            "sigma2_tilde": sigma2_tilde,
-            "S": S,
+    for i, row in enumerate(grid):
+        mu, mu_tilde, sigma2, sigma2_tilde, S = row
+        q, target = _gaussian_pair(*row[:4])
+        block = {
+            **dict(zip(GRID_COLUMNS, row)),
             "delta_var": delta_var_analytic(q, target, S),
             "delta_var_large_s": delta_var_large_s(mu - mu_tilde, sigma2 - sigma2_tilde),
             "kl": losses.kl_gaussian_closed_form(q, target),
@@ -325,29 +318,28 @@ def run_gaussian_oracles(cfg: ExperimentConfig, workers: int = 1) -> str:
             ("score_var", score_variance_analytic(q)),
             ("kurt", families.gaussian_score_kurtosis_analytic(q)),
         ):
-            row[f"{name}_mean"] = float(values[0])
-            row[f"{name}_log_std"] = float(values[1])
+            block[f"{name}_mean"] = float(values[0])
+            block[f"{name}_log_std"] = float(values[1])
         # one batch serves every convention, each a rescaled library
         # coordinate of Cov(f, score^2); the "oracles-mean" label keeps the
         # draws of the mean columns
         mc = analysis.delta_cv_mc(q, target, split_stream(cfg.seed, "oracles-mean", i), n_mc)
         for convention in CONVENTIONS:
             k, factor = convention_coordinate(q, 0, convention)
-            row[f"cov_{convention}"] = cov_f_score2_analytic(q, target, 0, convention)
-            row[f"cov_{convention}_mc"] = factor * float(mc.cov[k])
-            row[f"cov_{convention}_mc_se"] = factor * float(mc.cov_se[k])
-        blocks.append(row)
+            block[f"cov_{convention}"] = cov_f_score2_analytic(q, target, 0, convention)
+            block[f"cov_{convention}_mc"] = factor * float(mc.cov[k])
+            block[f"cov_{convention}_mc_se"] = factor * float(mc.cov_se[k])
+        blocks.append(block)
     return _write_run(cfg, blocks)
 
 
 def run_cv_comparison(cfg: ExperimentConfig, workers: int = 1) -> str:
-    mu, sigma2 = cfg["cv.mu"], cfg["cv.sigma2"]
-    mu_tilde, sigma2_tilde = cfg["cv.mu_tilde"], cfg["cv.sigma2_tilde"]
+    pair = [cfg[f"cv.{name}"] for name in GRID_COLUMNS[:4]]
     R = cfg["cv.replicates"]
     a_grid = cfg["cv.a_grid"] or []
     blocks = []
     for d in cfg["cv.dims"]:
-        q, target = _replicated_gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde, dims=d)
+        q, target = _gaussian_pair(*pair, dims=d)
         a_star = optimal_a_analytic(q, target)
         labels = families.param_labels(q)
         for S in cfg["cv.s_grid"]:

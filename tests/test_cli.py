@@ -77,6 +77,31 @@ def test_unreadable_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"experiment = delta-ratio\nseed = 1\n\xff\n")
+    out = tmp_path / "t.csv"
+    code = cli.main(["delta-ratio", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: cannot read config") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_output_path_with_nul_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(cfg, workers=1):
+        raise AssertionError("the run started for an output path it cannot open")
+
+    monkeypatch.setitem(cli.RUNNERS, "delta-ratio", no_run)
+    out = f"{tmp_path / 'x'}\\u0000y.csv"  # a JSON escape in the config file
+    cfg = write_cfg(tmp_path, f'experiment = delta-ratio\nseed = 1\nout = "{out}"\n')
+    code = cli.main(["delta-ratio", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == "config error: the output path contains a NUL character\n"
+    assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("lr", ["0", "-1"])
 def test_non_positive_learning_rate_is_config_error(tmp_path, capsys, lr):
     cfg = write_cfg(

@@ -167,6 +167,21 @@ def test_grid_validation(tmp_path):
         )
 
 
+
+@pytest.mark.parametrize(
+    "experiment, body",
+    [
+        ("delta-ratio", "delta.dims = [1, 1]"),
+        ("cv-comparison", "cv.dims = [3, 30, 3]"),
+        ("cv-comparison", "cv.s_grid = [4, 4]"),
+    ],
+)
+def test_repeated_list_int_entries_are_config_errors(tmp_path, experiment, body):
+    # each entry keys its block's stream, so a repeat would copy its rows
+    key = body.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"key '{key}': entries must be unique"):
+        parse_config(write_config(tmp_path, f"experiment = {experiment}\nseed = 1\n{body}\n"))
+
 def test_probs_validation(tmp_path):
     base = "experiment = unbiasedness\nseed = 1\n"
     with pytest.raises(ConfigError, match="sum to 1"):

@@ -30,7 +30,7 @@ from vargrad_lab.harness.experiments import (
     _write_run,
 )
 from vargrad_lab.harness.rng import split_stream
-from vargrad_lab.losses import kl_gaussian_closed_form
+from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
 from vargrad_lab.targets import GaussianTarget, synth_logreg_dataset
 
 from test_acceptance import C10_REDUCED
@@ -474,6 +474,44 @@ def test_cv_comparison_rejects_unknown_estimator(tmp_path):
     )
     with pytest.raises(ConfigError, match="unknown estimator 'mystery'"):
         parse_config(path)
+
+
+def test_keyed_runners_read_each_pair_key_into_its_own_place(tmp_path):
+    # four distinct values, so a runner that swapped mu and sigma2, or
+    # mu_tilde and sigma2_tilde, would build another pair and fail here
+    mu, sigma2, mu_tilde, sigma2_tilde = 0.5, 2.0, 1.5, 0.7
+
+    def keys(p):
+        return (
+            f"{p}.mu = {mu}\n{p}.sigma2 = {sigma2}\n"
+            f"{p}.mu_tilde = {mu_tilde}\n{p}.sigma2_tilde = {sigma2_tilde}\n"
+        )
+
+    def own_pair(d):
+        q = DiagGaussianParams(mean=np.full(d, mu), log_std=np.full(d, 0.5 * math.log(sigma2)))
+        return q, GaussianTarget(post_mean=np.full(d, mu_tilde), post_var=np.full(d, sigma2_tilde))
+
+    _, _, rows = run(
+        tmp_path,
+        f"experiment = delta-ratio\nseed = 3\nout = {tmp_path / 'delta.csv'}\n"
+        "delta.dims = [1, 2]\ndelta.n_samples = 200\n" + keys("delta"),
+    )
+    assert len(rows) == 2 + 4
+    for r in rows:
+        q, t = own_pair(r["dims"])
+        assert r["delta_analytic"] == delta_cv_analytic(q, t)[r["coord"]]
+        assert r["a_expectation_analytic"] == kl_gaussian_closed_form(q, t)
+
+    _, _, rows = run(
+        tmp_path,
+        f"experiment = cv-comparison\nseed = 3\nout = {tmp_path / 'cv.csv'}\n"
+        "cv.dims = [2]\ncv.s_grid = [4]\ncv.replicates = 2000\n" + keys("cv"),
+    )
+    exact = kl_gaussian_gradient(*own_pair(2))
+    checked = [r for r in rows if r["estimator"] in ("reinforce", "vargrad", "cv_oracle")]
+    assert len(checked) == 3 * 4
+    for r in checked:
+        assert abs(r["mean"] - exact[r["coord"]]) < 5.0 * r["mean_se"], r
 
 
 # ------------------------------------------------------------- train logreg

@@ -19,6 +19,7 @@ from vargrad_lab.gaussian_oracles import (
     delta_cv_analytic,
     delta_var_analytic,
     delta_var_large_s,
+    expected_f_analytic,
     optimal_a_analytic,
     score_variance_analytic,
 )
@@ -295,6 +296,16 @@ def test_delta_cv_scale_invariance_in_dimension():
     np.testing.assert_allclose(got[:7], 2.0, rtol=1e-14)
     np.testing.assert_allclose(got[7:], 4.0, rtol=1e-14)
 
+
+
+def test_expected_f_matches_quadrature_with_evidence():
+    # E_q[log q - log p(x, z)], log p(x, z) = log p(z | x) + log p(x)
+    mu, mu_tilde, sigma2, sigma2_tilde, log_ev = 0.5, 2.0, 1.5, 0.7, -2.3
+    q, t = pair(mu, sigma2, mu_tilde, sigma2_tilde)
+    t = GaussianTarget(post_mean=t.post_mean, post_var=t.post_var, log_evidence=log_ev)
+    f = gaussian_log_ratio(mu, mu_tilde, sigma2, sigma2_tilde)
+    want = gauss_expect(lambda z: f(z) - log_ev, mu, sigma2)
+    assert expected_f_analytic(q, t) == pytest.approx(want, rel=1e-10)
 
 def test_optimal_a_anchor_values():
     q, t = pair(3.0, 3.0, 1.0, 1.0)
