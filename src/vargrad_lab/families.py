@@ -55,14 +55,15 @@ def expit(x) -> np.ndarray:
     return np.array([_expit_scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def gaussian_log_density(z: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """log N(z; mean, diag(var)) over the last axis of z."""
-    return _gaussian_log_density_of_square((z - mean) ** 2 / var, var)
-
-
-def _gaussian_log_density_of_square(t: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """log N(z; mean, diag(var)) from t = (z - mean)^2 / var."""
-    return -0.5 * np.sum(t + np.log(2.0 * np.pi * var), axis=-1)
+def gaussian_log_density(z: np.ndarray, mean: np.ndarray, var: np.ndarray, *, with_stats: bool):
+    """log N(z; mean, diag(var)) over the last axis of z, the density of both
+    q and the Gaussian posterior. With with_stats it returns (log density,
+    (u, t)), u = z - mean and t = u^2 / var; without, t overwrites u."""
+    u = z - mean
+    t = np.square(u) if with_stats else np.square(u, out=u)  # the same bits as u**2
+    t /= var  # in place: the same bits as u**2 / var
+    out = -0.5 * np.sum(t + np.log(2.0 * np.pi * var), axis=-1)
+    return (out, (u, t)) if with_stats else out
 
 
 def _validated_vector(x, name: str) -> np.ndarray:
@@ -198,22 +199,16 @@ def log_density(params: Params, z, *, with_stats: bool = False):
     if z.ndim == 0 or z.shape[-1] != params.dim:
         raise ValueError(f"latent dimension mismatch: expected {params.dim}, got shape {z.shape}")
     if isinstance(params, DiagGaussianParams):
-        u = z - params.mean
-        t = u**2
-        t /= params.var  # in place: the same bits as u**2 / var
-        stats = (u, t)
-        out = _gaussian_log_density_of_square(t, params.var)
-    elif isinstance(params, MeanFieldBernoulliParams):
+        return gaussian_log_density(z, params.mean, params.var, with_stats=with_stats)
+    if isinstance(params, MeanFieldBernoulliParams):
         require_binary(z)
-        stats = (z,)
         # z*log(theta) + (1-z)*log(1-theta) == z*logit - softplus(logit)
         logit = params.clipped_logits
         terms = z * logit
         terms -= np.logaddexp(0.0, logit)  # in place: one (..., D) temporary
         out = np.sum(terms, axis=-1)
-    else:
-        raise TypeError(f"unknown family: {type(params).__name__}")
-    return (out, stats) if with_stats else out
+        return (out, (z,)) if with_stats else out
+    raise TypeError(f"unknown family: {type(params).__name__}")
 
 
 def score(params: Params, stat_sums, weight_sum) -> np.ndarray:

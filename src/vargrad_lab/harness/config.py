@@ -171,6 +171,16 @@ def _parse_value(raw: str, where: str) -> Any:
         raise ConfigError(f"{where}: integer has too many digits") from None
 
 
+def _is_number(v: Any, integer: bool = False) -> bool:
+    """v is an int, or with integer False an int or a float, and not a bool."""
+    return not isinstance(v, bool) and isinstance(v, int if integer else (int, float))
+
+
+def _is_list_of(value: Any, entry_ok) -> bool:
+    """value is a non-empty list whose entries all pass entry_ok."""
+    return isinstance(value, list) and bool(value) and all(entry_ok(v) for v in value)
+
+
 def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
     def fail(expected: str):
         raise ConfigError(f"key '{key}': expected {expected}, got {value!r}")
@@ -185,22 +195,20 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
     if value is None and spec.default is None:
         return None  # an optional list left unset
     if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_number(value, integer=True):
             fail("an integer")
         if spec.minimum is not None and value < spec.minimum:
             raise ConfigError(f"key '{key}': must be >= {int(spec.minimum)}, got {value}")
         return value
     if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             fail("a number")
         v = to_float(value)
         if spec.minimum is not None and v < spec.minimum:
             raise ConfigError(f"key '{key}': must be >= {spec.minimum}, got {v}")
         return v
     if kind == "list_int":
-        if not isinstance(value, list) or not value or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in value
-        ):
+        if not _is_list_of(value, lambda v: _is_number(v, integer=True)):
             fail("a non-empty list of integers")
         if spec.minimum is not None and min(value) < spec.minimum:
             raise ConfigError(f"key '{key}': entries must be >= {int(spec.minimum)}, got {value}")
@@ -209,13 +217,11 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
             raise ConfigError(f"key '{key}': entries must be unique, got {value}")
         return list(value)
     if kind == "list_float":
-        if not isinstance(value, list) or not value or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-        ):
+        if not _is_list_of(value, _is_number):
             fail("a non-empty list of numbers")
         return [to_float(v) for v in value]
     if kind == "list_str":  # estimator names from the default list, each once
-        if not isinstance(value, list) or not value or any(not isinstance(v, str) for v in value):
+        if not _is_list_of(value, lambda v: isinstance(v, str)):
             fail("a non-empty list of strings")
         for name in value:
             if name not in spec.default:
@@ -226,9 +232,7 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
             raise ConfigError(f"key '{key}': estimator names must be unique, got {value}")
         return list(value)
     if kind == "probs":
-        if not isinstance(value, list) or not value or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-        ):
+        if not _is_list_of(value, _is_number):
             fail("a list of probabilities")
         probs = [to_float(v) for v in value]
         if any(p <= 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
@@ -239,11 +243,7 @@ def _coerce(key: str, value: Any, spec: FieldSpec) -> Any:
             fail(f"a non-empty list of [{', '.join(GRID_COLUMNS)}] rows")
         rows = []
         for row in value:
-            if (
-                not isinstance(row, list)
-                or len(row) != len(GRID_COLUMNS)
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)
-            ):
+            if not _is_list_of(row, _is_number) or len(row) != len(GRID_COLUMNS):
                 fail(f"rows of the form [{', '.join(GRID_COLUMNS)}]")
             mu, mut, s2, s2t, s = row
             if s2 <= 0.0 or s2t <= 0.0:
@@ -299,7 +299,7 @@ def parse_config(path) -> ExperimentConfig:
     if "seed" not in raw:
         raise ConfigError(f"{path}: missing required key 'seed'")
     seed = raw.pop("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_number(seed, integer=True) or seed < 0:
         raise ConfigError(f"{path}: key 'seed': expected a non-negative integer, got {seed!r}")
     out = raw.pop("out", None)
     if out is not None and not isinstance(out, str):

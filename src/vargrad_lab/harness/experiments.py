@@ -120,10 +120,13 @@ _ESTIMATOR_TAGS = {
 }
 
 
-def _estimator_specs(names: list[str], a_fixed: np.ndarray, S: int) -> list[EstimatorSpec]:
-    """Specs for the estimator names, which the config has checked. The
-    fixed control variate uses a_fixed; cv_sampled estimates its coefficient
-    from a batch the size of the estimate batch, S."""
+def _estimator_specs(
+    names: list[str], a_fixed: np.ndarray | None, s_extra: int | None
+) -> list[EstimatorSpec]:
+    """Specs for the estimator names, in their order. The fixed control
+    variate uses a_fixed; cv_sampled estimates its coefficient from a fresh
+    batch of s_extra draws per replicate. Those batches are drawn in spec
+    order, so the name order is the cv_sampled stream order."""
     specs = []
     for name in names:
         tag = _ESTIMATOR_TAGS[name]
@@ -132,7 +135,7 @@ def _estimator_specs(names: list[str], a_fixed: np.ndarray, S: int) -> list[Esti
                 name=name,
                 tag=tag,
                 a=a_fixed if tag == CV_TAG else None,
-                s_extra=S if tag == CV_SAMPLED_TAG else None,
+                s_extra=s_extra if tag == CV_SAMPLED_TAG else None,
             )
         )
     return specs
@@ -196,10 +199,7 @@ def run_unbiasedness(cfg: ExperimentConfig, workers: int = 1) -> str:
 # holds the rest, however few.
 _SPAN_REPLICATES = 1 << 13
 
-_SWEEP_SPECS = [
-    EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
-    EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
-]
+_SWEEP_SPECS = _estimator_specs(["reinforce", "vargrad"], None, None)
 
 
 def _sweep_spans(R: int) -> list[tuple[int, int]]:
@@ -402,14 +402,12 @@ def _logreg_step_block(
         split_stream(cfg.seed, "diag-cv-oracle", t),
         cfg["diagnostics.cv_oracle_samples"],
     )
-    specs = [
-        EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
-        EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
-        EstimatorSpec(
-            name="cv_sampled", tag=CV_SAMPLED_TAG, s_extra=cfg["diagnostics.cv_extra_samples"]
-        ),
-        EstimatorSpec(name="cv_oracle", tag=CV_TAG, a=a_oracle),
-    ]
+    # the name order is the cv_sampled stream order and the var_* column order
+    specs = _estimator_specs(
+        ["reinforce", "vargrad", "cv_sampled", "cv_oracle"],
+        a_oracle,
+        cfg["diagnostics.cv_extra_samples"],
+    )
     ests = analysis.replicate_estimates(
         q,
         model,
@@ -419,11 +417,6 @@ def _logreg_step_block(
         specs,
     )
     pair = analysis.paired_difference_from_estimates(ests["reinforce"], ests["vargrad"])
-    # the pair already summarised the two estimators it compares
-    reports = {"reinforce": pair.report_a, "vargrad": pair.report_b}
-    for s in specs:
-        if s.name not in reports:
-            reports[s.name] = analysis.report_from_estimates(ests[s.name])
     block = {
         "step": t,
         "coord": range(q.num_params),
@@ -436,9 +429,13 @@ def _logreg_step_block(
         "delta_ratio_se": delta.ratio_se,
         "delta_valid": delta.valid,
     }
-    for name in ("reinforce", "vargrad", "cv_sampled", "cv_oracle"):
-        block[f"var_{name}"] = reports[name].per_coordinate_variance
-        block[f"var_{name}_se"] = reports[name].standard_errors
+    # the pair already summarised the two estimators it compares
+    reports = {"reinforce": pair.report_a, "vargrad": pair.report_b}
+    for spec in specs:
+        if spec.name not in reports:
+            reports[spec.name] = analysis.report_from_estimates(ests[spec.name])
+        block[f"var_{spec.name}"] = reports[spec.name].per_coordinate_variance
+        block[f"var_{spec.name}_se"] = reports[spec.name].standard_errors
     block["diff_reinforce_vargrad"] = pair.diff
     block["diff_se_reinforce_vargrad"] = pair.diff_se
     block["log_variance_loss"] = lv_loss

@@ -179,7 +179,8 @@ def log_joint(target: Target, z) -> np.ndarray:
         raise ValueError(f"latent dimension mismatch: expected {target.dim}, got {z.shape}")
 
     if isinstance(target, GaussianTarget):
-        return gaussian_log_density(z, target.post_mean, target.post_var) + target.log_evidence
+        log_p = gaussian_log_density(z, target.post_mean, target.post_var, with_stats=False)
+        return log_p + target.log_evidence
 
     if isinstance(target, LogRegModel):
         return _logreg_log_joint(target, z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])

@@ -1,5 +1,7 @@
 """Config parsing: strictness, defaults, and error reporting."""
 
+import re
+
 import pytest
 
 from vargrad_lab.harness.config import (
@@ -181,6 +183,24 @@ def test_repeated_list_int_entries_are_config_errors(tmp_path, experiment, body)
     key = body.split(" = ")[0]
     with pytest.raises(ConfigError, match=f"key '{key}': entries must be unique"):
         parse_config(write_config(tmp_path, f"experiment = {experiment}\nseed = 1\n{body}\n"))
+
+
+@pytest.mark.parametrize(
+    "experiment, body, expected",
+    [
+        ("cv-comparison", "cv.dims = [true]", "a non-empty list of integers"),
+        ("cv-comparison", "cv.a_grid = [true]", "a non-empty list of numbers"),
+        ("unbiasedness", "toy.dims = 1\ntoy.posterior = [true, 0]", "a list of probabilities"),
+        ("variance-sweep", "sweep.grid_points = [[true, 2, 1, 1, 4]]", "rows of the form"),
+    ],
+    ids=["list_int", "list_float", "probs", "grid"],
+)
+def test_bools_inside_lists_are_refused(tmp_path, experiment, body, expected):
+    # true is a Python int, so list entries need the same number check as scalars
+    key = body.splitlines()[-1].split(" = ")[0]
+    with pytest.raises(ConfigError, match=re.escape(f"key '{key}': expected {expected}")):
+        parse_config(write_config(tmp_path, f"experiment = {experiment}\nseed = 1\n{body}\n"))
+
 
 def test_probs_validation(tmp_path):
     base = "experiment = unbiasedness\nseed = 1\n"

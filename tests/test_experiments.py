@@ -25,6 +25,7 @@ from vargrad_lab.harness.csvio import read_csv
 from vargrad_lab.harness.experiments import (
     _SPAN_REPLICATES,
     RUNNERS,
+    _gaussian_pair,
     _sweep_span,
     _sweep_spans,
     _write_run,
@@ -43,13 +44,6 @@ def run(tmp_path, text, name="run.cfg"):
     out = RUNNERS[cfg.experiment](cfg)
     assert out == cfg.out
     return read_csv(out)
-
-
-def gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde):
-    """The 1-D (q, posterior) pair a sweep or oracle row describes."""
-    q = DiagGaussianParams(mean=np.array([mu]), log_std=np.array([0.5 * math.log(sigma2)]))
-    t = GaussianTarget(post_mean=np.array([mu_tilde]), post_var=np.array([float(sigma2_tilde)]))
-    return q, t
 
 
 def test_runner_table_lists_the_experiments_in_order():
@@ -165,7 +159,7 @@ def test_variance_sweep_reduced_grid(tmp_path):
 
     # every analytic cell reproduces the closed forms bit-for-bit
     for r in rows:
-        q, t = gaussian_pair(r["mu"], r["sigma2"], r["mu_tilde"], r["sigma2_tilde"])
+        q, t = _gaussian_pair(r["mu"], r["mu_tilde"], r["sigma2"], r["sigma2_tilde"])
         assert r["analytic"] == delta_var_analytic(q, t, r["S"])
         delta = delta_cv_analytic(q, t)[0]
         want = delta / -kl_gaussian_closed_form(q, t) if delta != 0.0 else 0.0
@@ -202,7 +196,7 @@ def test_variance_sweep_condition_is_the_sign_of_the_large_s_term(tmp_path):
     )
     met = []
     for r in rows:
-        q, t = gaussian_pair(r["mu"], r["sigma2"], r["mu_tilde"], r["sigma2_tilde"])
+        q, t = _gaussian_pair(r["mu"], r["mu_tilde"], r["sigma2"], r["sigma2_tilde"])
         if kl_gaussian_closed_form(q, t) - t.log_evidence == 0.0:
             continue
         a = 6.0 * delta_var_analytic(q, t, 3) - 2.0 * delta_var_analytic(q, t, 2)
@@ -239,7 +233,7 @@ def test_variance_sweep_spans_are_fixed():
 def test_variance_sweep_span_k_draws_from_the_kth_jump_of_its_row_stream(tmp_path, i):
     cfg = _sweep_cfg(tmp_path, 100)
     mu, mu_tilde, sigma2, sigma2_tilde, S = cfg["sweep.grid_points"][i]
-    q, t = gaussian_pair(mu, sigma2, mu_tilde, sigma2_tilde)
+    q, t = _gaussian_pair(mu, mu_tilde, sigma2, sigma2_tilde)
     specs = [
         EstimatorSpec(name="reinforce", tag=REINFORCE_TAG),
         EstimatorSpec(name="vargrad", tag=VARGRAD_TAG),
@@ -342,7 +336,7 @@ def test_gaussian_oracles_table(tmp_path):
         assert f"cov_{conv}" in header
 
     for r in rows:
-        q, t = gaussian_pair(r["mu"], r["sigma2"], r["mu_tilde"], r["sigma2_tilde"])
+        q, t = _gaussian_pair(r["mu"], r["mu_tilde"], r["sigma2"], r["sigma2_tilde"])
         assert r["kl"] == kl_gaussian_closed_form(q, t)
         assert r["a_opt_mean"] == optimal_a_analytic(q, t)[0]
         for conv in ("mean", "variance", "log_variance"):

@@ -11,6 +11,7 @@ from vargrad_lab.analysis import exact_kl_and_gradient
 from vargrad_lab.families import (
     DiagGaussianParams,
     MeanFieldBernoulliParams,
+    draw,
     log_density,
     support_states,
 )
@@ -45,6 +46,22 @@ def test_gaussian_log_evidence_shifts_exactly():
     )
     z = np.array([0.3])
     assert log_joint(shifted, z) - log_joint(base, z) == pytest.approx(7.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gaussian_log_joint_at_q_is_log_q_bit_for_bit(d):
+    # the posterior and q go through the same Gaussian density, so a target
+    # equal to q with log p(x) = 0 reproduces log q exactly on (R, S, D)
+    # draws, whether or not the score statistics are kept
+    rng = np.random.default_rng(d)
+    q = DiagGaussianParams(mean=rng.normal(size=d), log_std=rng.normal(0.0, 0.7, size=d))
+    t = GaussianTarget(post_mean=q.mean, post_var=q.var)
+    z = draw(q, rng, 5 * 4).reshape(5, 4, d)
+    z_before = z.copy()
+    lp = log_joint(t, z)
+    np.testing.assert_array_equal(lp, log_density(q, z))
+    np.testing.assert_array_equal(lp, log_density(q, z, with_stats=True)[0])
+    np.testing.assert_array_equal(z, z_before)
 
 
 def test_gaussian_posterior_normalises_after_evidence_removal():
