@@ -18,6 +18,7 @@ shared replicate draws so that differences carry a paired jackknife SE.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,11 +339,11 @@ def exact_kl_and_gradient(
     if discrete.dim != params.dim:
         raise ValueError(f"dimension mismatch: model D={discrete.dim}, params D={params.dim}")
     states = families.support_states(discrete.dim)
-    q = families.support_probs(params, states)
-    r = families.log_density(params, states) - (discrete.log_joint_table - discrete.log_evidence)
+    log_q = families.log_density(params, states)
+    r = log_q - (discrete.log_joint_table - discrete.log_evidence)
     scores = families.score(params, (states,), 1.0)
     del states  # freed before moments squares the scores: two (2^D, D) arrays at most
-    kl, _, _, grad, _ = moments(r, scores, q)
+    kl, _, _, grad, _ = moments(r, scores, np.exp(log_q))
     return float(kl), grad
 
 
@@ -350,8 +351,8 @@ def gaussian_sup_ratio(q_params: DiagGaussianParams, target: GaussianTarget) -> 
     """Closed-form sup_z q(z)/p(z|x) for diagonal Gaussians.
 
     Finite exactly when q has strictly lighter tails, q_var_k < post_var_k
-    for every k; the supremum then factorises over coordinates and each
-    factor peaks where the quadratic exponent is stationary.
+    for every k; the log ratio is then a concave quadratic, stationary at
+    z*, and the supremum is q(z*)/p(z*|x).
     """
     losses.require_same_dim(q_params, target)
     s2, s2t = q_params.var, target.post_var
@@ -359,13 +360,17 @@ def gaussian_sup_ratio(q_params: DiagGaussianParams, target: GaussianTarget) -> 
         raise ValueError("sup q/p is infinite unless q_var < post_var in every coordinate")
     mu, mut = q_params.mean, target.post_mean
     z_star = (mu / s2 - mut / s2t) / (1.0 / s2 - 1.0 / s2t)
-    log_c = (
-        0.5 * np.log(s2t)
-        - q_params.log_std
-        - (z_star - mu) ** 2 / (2.0 * s2)
-        + (z_star - mut) ** 2 / (2.0 * s2t)
-    )
-    return float(np.exp(np.sum(log_c)))
+    log_p = families.gaussian_log_density(z_star, mut, s2t, with_stats=False)
+    return float(np.exp(families.log_density(q_params, z_star) - log_p))
+
+
+def bound_denominator(kl: float, log_evidence: float) -> float:
+    """|sqrt(KL) - log p(x)/sqrt(KL)|, the denominator of the bound on
+    |delta_i / E[f_bar]|; NaN unless KL > 0."""
+    if not kl > 0.0:
+        return math.nan
+    root = math.sqrt(kl)
+    return abs(root - log_evidence / root)
 
 
 def delta_ratio_bound(
@@ -392,6 +397,5 @@ def delta_ratio_bound(
     if kl == 0.0:
         bound = np.full(q_params.num_params, np.inf)
         return BoundReport(bound, float(C), kurt, undefined=False)
-    denom = abs(np.sqrt(kl) - log_ev / np.sqrt(kl))
-    bound = 2.0 * np.sqrt(C * kurt) / denom
+    bound = 2.0 * np.sqrt(C * kurt) / bound_denominator(kl, log_ev)
     return BoundReport(bound, float(C), kurt, undefined=False)

@@ -247,12 +247,6 @@ def support_states(d: int) -> np.ndarray:
     return bits.astype(float)
 
 
-def support_probs(params: MeanFieldBernoulliParams, states: np.ndarray) -> np.ndarray:
-    """(2^D,) exact probabilities of the support_states(D) rows under the clamped parameters."""
-    theta = params.probs
-    return np.prod(np.where(states == 1.0, theta, 1.0 - theta), axis=1)
-
-
 def gaussian_score_kurtosis_analytic(params: DiagGaussianParams) -> np.ndarray:
     """Analytic kurtosis E[s^4]/E[s^2]^2 per parameter coordinate, length 2D.
 

@@ -389,10 +389,6 @@ def _logreg_step_block(
         n_elbo=cfg["diagnostics.n_elbo"],
     )
     kl_is = log_ev - elbo
-    if kl_is > 0.0:
-        denom = abs(math.sqrt(kl_is) - log_ev / math.sqrt(kl_is))
-    else:
-        denom = math.nan
     delta = analysis.delta_cv_mc(
         q, model, split_stream(cfg.seed, "diag-delta", t), cfg["diagnostics.n_delta"]
     )
@@ -424,7 +420,7 @@ def _logreg_step_block(
         "elbo": elbo,
         "log_evidence_is": log_ev,
         "kl_is": kl_is,
-        "bound_denominator": denom,
+        "bound_denominator": analysis.bound_denominator(kl_is, log_ev),
         "delta_abs_ratio": np.abs(delta.ratio),
         "delta_ratio_se": delta.ratio_se,
         "delta_valid": delta.valid,

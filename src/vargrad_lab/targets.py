@@ -227,6 +227,7 @@ def _logreg_log_joint(target: LogRegModel, z: np.ndarray) -> np.ndarray:
         np.log1p(s, out=s)
         s += np.maximum(e, 0.0, out=e)
         loglik = label[lo:hi] - np.sum(s, axis=-1)
+        # not via gaussian_log_density: 12-17% slower per call (n = 1e4, N = 100, one x86 vCPU)
         log_prior_w = -0.5 * np.sum(w**2, axis=-1) / PRIOR_W_VAR - const_w
         log_prior_b = -0.5 * b[:, 0] ** 2 / PRIOR_B_VAR - const_b
         out[lo:hi] = loglik + log_prior_w + log_prior_b

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from vargrad_lab.estimators import BatchSums
-from vargrad_lab.families import DiagGaussianParams, Params
+from vargrad_lab.families import DiagGaussianParams, MeanFieldBernoulliParams, Params
+from vargrad_lab.targets import DiscreteToyModel
 
 # Integration window in posterior standard deviations. The integrands decay
 # like a Gaussian times a polynomial, so 14 sd puts the tail mass far below
@@ -181,6 +182,37 @@ def enumerate_batches(probs: np.ndarray, S: int):
     for combo in itertools.product(range(probs.size), repeat=S):
         weight = float(np.prod(probs[list(combo)]))
         yield np.array(combo, dtype=int), weight
+
+
+def support_probs_ref(params: MeanFieldBernoulliParams, states: np.ndarray) -> np.ndarray:
+    """Probabilities of the rows of states (n, D) under the clamped
+    parameters, as the product of theta_k over the ones and 1 - theta_k over
+    the zeros. 1 - theta_k loses digits where theta_k is near 1."""
+    theta = params.probs
+    return np.prod(np.where(states == 1.0, theta, 1.0 - theta), axis=1)
+
+
+def exact_kl_and_gradient_ref(
+    model: DiscreteToyModel, params: MeanFieldBernoulliParams
+) -> tuple[float, np.ndarray]:
+    """KL(q || posterior) and its logit gradient, summed state by state in
+    log space: log q(z) = sum_k z_k L_k - softplus(L_k) over the clipped
+    logits L, the score z - theta with theta = params.probs, and every sum a
+    math.fsum, so no weight is formed from 1 - theta."""
+    logits = params.clipped_logits.tolist()
+    theta = params.probs.tolist()
+    softplus = [max(v, 0.0) + math.log1p(math.exp(-abs(v))) for v in logits]
+    d = len(logits)
+    kl_terms, grad_terms = [], [[] for _ in range(d)]
+    for i in range(2**d):
+        z = [(i >> k) & 1 for k in range(d)]  # coordinate k reads bit k of i
+        log_q = math.fsum(zk * lk - sk for zk, lk, sk in zip(z, logits, softplus))
+        r = log_q - (float(model.log_joint_table[i]) - model.log_evidence)
+        q = math.exp(log_q)
+        kl_terms.append(q * r)
+        for k in range(d):
+            grad_terms[k].append(q * (z[k] - theta[k]) * r)
+    return math.fsum(kl_terms), np.array([math.fsum(t) for t in grad_terms])
 
 
 def sample_variance_ref(x: np.ndarray) -> float:

@@ -41,7 +41,7 @@ from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form
 from vargrad_lab.targets import DiscreteToyModel, GaussianTarget
 
-from oracles import batch_sums, score_ref, vargrad_via_loss
+from oracles import batch_sums, score_ref, support_probs_ref, vargrad_via_loss
 
 
 def gaussian_pair(mu, s2, mut, s2t, log_ev=0.0, d=1):
@@ -123,7 +123,7 @@ def test_c02_loss_gradient_identity_and_exact_pair_expectation():
     q = MeanFieldBernoulliParams(logits=np.array([0.6]))
     _, grad = exact_kl_and_gradient(target, q)
     states = families.support_states(1)
-    probs = families.support_probs(q, states)
+    probs = support_probs_ref(q, states)
     expectation = np.zeros(1)
     for i in range(2):
         for j in range(2):

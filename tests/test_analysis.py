@@ -30,7 +30,6 @@ from vargrad_lab.families import (
     MeanFieldBernoulliParams,
     draw,
     log_density,
-    support_probs,
     support_states,
 )
 from vargrad_lab.gaussian_oracles import (
@@ -45,7 +44,7 @@ from vargrad_lab.harness.experiments import RUNNERS
 from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
 from vargrad_lab.targets import DiscreteToyModel, GaussianTarget, log_joint
 
-from oracles import cov_f_score2_ref, score_ref, vargrad_via_loss
+from oracles import cov_f_score2_ref, score_ref, support_probs_ref, vargrad_via_loss
 
 
 def gauss(mean, log_std):
@@ -303,7 +302,7 @@ def test_delta_cv_mc_matches_enumeration_on_discrete_target():
     model = DiscreteToyModel.from_posterior(np.array([0.1, 0.3, 0.15, 0.45]))
     q = MeanFieldBernoulliParams(logits=np.array([0.4, -0.7]))
     states = support_states(2)
-    probs = support_probs(q, states)
+    probs = support_probs_ref(q, states)
     f = np.array(
         [float(log_density(q, s)) for s in states]
     ) - model.log_joint_table

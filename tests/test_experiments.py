@@ -581,6 +581,9 @@ def test_train_logreg_flags_the_undefined_bound_denominator(tmp_path):
     for r in rows:
         assert r["bound_valid"] == (r["kl_is"] > 0.0)
         assert math.isnan(r["bound_denominator"]) == (not r["bound_valid"])
+        if r["bound_valid"]:  # from the row's own cells, which round-trip exactly
+            kl, log_ev = r["kl_is"], r["log_evidence_is"]
+            assert r["bound_denominator"] == abs(math.sqrt(kl) - log_ev / math.sqrt(kl))
     assert {r["step"] for r in rows if not r["bound_valid"]} == {10, 20}
 
 

@@ -20,11 +20,10 @@ from vargrad_lab.families import (
     log_density,
     param_labels,
     score,
-    support_probs,
     support_states,
 )
 
-from oracles import fd_gradient, gauss_expect
+from oracles import fd_gradient, gauss_expect, support_probs_ref
 
 
 def gauss(mean, log_std):
@@ -141,7 +140,8 @@ def test_gaussian_density_normalises():
 
 def test_bernoulli_probs_normalise_exactly():
     b = bern([0.3, -1.2, 0.7])
-    assert support_probs(b, support_states(3)).sum() == pytest.approx(1.0, abs=1e-12)
+    probs = np.exp(log_density(b, support_states(3)))  # the exact oracle's weights
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------------------------- score
@@ -245,10 +245,10 @@ def test_draw_validates_sample_count():
 def test_enumerate_support_small_cases():
     b = bern([math.log(0.3 / 0.7)])  # theta = 0.3
     np.testing.assert_array_equal(support_states(1), [[0.0], [1.0]])
-    np.testing.assert_allclose(support_probs(b, support_states(1)), [0.7, 0.3], atol=1e-12)
+    np.testing.assert_allclose(np.exp(log_density(b, support_states(1))), [0.7, 0.3], atol=1e-12)
 
     b2 = bern([0.0, 0.0])
-    probs = support_probs(b2, support_states(2))
+    probs = np.exp(log_density(b2, support_states(2)))
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
 
@@ -260,12 +260,18 @@ def test_support_states_bit_order():
 
 
 def test_support_probs_match_density():
-    b = bern([0.4, -0.9, 1.3])
+    """exp(log q) over the support is the product of theta and 1 - theta,
+    also where the clamp saturates a logit. There 1 - theta in the product
+    loses about 9 digits, so the clamped row is compared in probability."""
     states = support_states(3)
-    probs = support_probs(b, states)
-    for state, p in zip(states, probs):
+    b = bern([0.4, -0.9, 1.3])
+    for state, p in zip(states, support_probs_ref(b, states)):
         assert math.log(p) == pytest.approx(float(log_density(b, state)), abs=1e-12)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    for logits in ([0.4, -0.9, 1.3], [30.0, -30.0, 0.2]):
+        b = bern(logits)
+        probs = np.exp(log_density(b, states))
+        np.testing.assert_allclose(probs, support_probs_ref(b, states), rtol=0.0, atol=1e-12)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_enumeration_dimension_cap():

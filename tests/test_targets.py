@@ -26,7 +26,7 @@ from vargrad_lab.targets import (
     synth_logreg_dataset,
 )
 
-from oracles import fd_gradient, gauss_expect
+from oracles import exact_kl_and_gradient_ref, fd_gradient, gauss_expect, support_probs_ref
 
 
 # ------------------------------------------------------------- gaussian
@@ -405,13 +405,26 @@ def test_exact_kl_uses_enumerated_support_consistently():
     table = DiscreteToyModel.from_posterior(np.array([0.1, 0.2, 0.3, 0.4])).log_joint_table
     model = DiscreteToyModel(log_joint_table=table + 0.7)
     q = MeanFieldBernoulliParams(logits=np.array([0.5, -0.2]))
-    theta = q.probs
-    states = support_states(2)
-    qz = np.prod(theta * states + (1 - theta) * (1 - states), axis=1)
+    qz = support_probs_ref(q, support_states(2))
     post = np.exp(model.log_joint_table - model.log_evidence)
     want = float(np.sum(qz * (np.log(qz) - np.log(post))))
     kl, _ = exact_kl_and_gradient(model, q)
     assert kl == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("logits", [[20.0, -30.0, 0.5, 17.0], [40.0, 0.3, -25.0]])
+def test_exact_gradient_at_clamped_logits_matches_log_space_enumeration(logits):
+    """Where the clamp saturates a logit, 1 - theta is good to about 7
+    digits of its 1e-7, so a product of theta and 1 - theta would put the
+    weights about 5e-10 off; the weights exp(log q) keep the KL and its
+    gradient at the log-space reference's precision."""
+    d = len(logits)
+    model = DiscreteToyModel(log_joint_table=np.random.default_rng(43 + d).normal(0.0, 1.0, 2**d))
+    q = MeanFieldBernoulliParams(logits=np.array(logits))
+    kl, grad = exact_kl_and_gradient(model, q)
+    want_kl, want_grad = exact_kl_and_gradient_ref(model, q)
+    assert kl == pytest.approx(want_kl, rel=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------- logsumexp
