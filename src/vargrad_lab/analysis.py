@@ -13,7 +13,10 @@ reports per-coordinate means and variances. Standard errors come from
 delete-one jackknife over the replicates rather than a Gaussian
 approximation, because fourth-moment statistics of score products are
 heavy-tailed. Estimators compared against each other are evaluated on
-shared replicate draws so that differences carry a paired jackknife SE.
+shared replicate draws so that differences carry a paired jackknife SE. The
+jackknife SE of a variance, or of a paired difference of two, is a closed
+form in the centred squares (x_i - mean)^2, so no delete-one array is
+formed and no digits are lost where |mean| >> sd.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .estimators import (
     combine,
     cv_coefficient,
 )
-from .families import DiagGaussianParams, Params, gaussian_score_kurtosis_analytic
+from .families import DiagGaussianParams, Params
 # log_joint is no longer called here, but perfbench/checks.py reads the
 # analysis.log_joint binding, so it stays importable from this module.
 from .targets import DiscreteToyModel, GaussianTarget, Target, log_joint  # noqa: F401
@@ -84,8 +87,9 @@ class DeltaReport:
 class VarianceReport:
     """Per-coordinate spread of an estimator over R replicates of S samples.
 
-    standard_errors are delete-one jackknife SEs of the variance entries;
-    mean_standard_errors are plain SEs of the replicate means.
+    standard_errors are delete-one jackknife SEs of the variance entries,
+    in closed form from the centred squares; mean_standard_errors are plain
+    SEs of the replicate means.
     """
 
     per_coordinate_variance: np.ndarray
@@ -203,65 +207,64 @@ def replicate_estimates(
     return out
 
 
-def _loo_variances(x: np.ndarray) -> np.ndarray:
-    """Delete-one ddof=1 variances of the columns of x (R, P), from the
-    running sums in O(R P): row i holds the variance without replicate i.
-    Needs R >= 3."""
-    r = x.shape[0]
-    t = x.sum(axis=0)
-    q = (x**2).sum(axis=0)
-    return (q - x**2 - (t - x) ** 2 / (r - 1)) / (r - 2)
-
-
 def _jackknife_stat_se(loo: np.ndarray) -> np.ndarray:
     r = loo.shape[0]
     with np.errstate(invalid="ignore"):  # NaN columns flow through untouched
         return np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
 
 
+def _variance_se(g: np.ndarray) -> np.ndarray:
+    """Delete-one jackknife SE of a ddof=1 variance from the centred squares
+    g = (x - mean)^2 of its column: dropping replicate i moves the variance
+    by -r (g_i - mean g) / ((r - 1)(r - 2)). g_a - g_b gives a paired SE."""
+    r = g.shape[0]
+    return r / ((r - 1) * (r - 2)) * _jackknife_stat_se(g)
+
+
 def report_from_estimates(x: np.ndarray) -> VarianceReport:
     """Summarise an (R, P) array of replicate estimates (as produced by
     replicate_estimates) into a VarianceReport. The jackknife SEs of the
     variances need R >= MIN_JACKKNIFE_N."""
-    return _report_and_loo(x)[0]
+    return _report_and_squares(x)[0]
 
 
-def _report_and_loo(x: np.ndarray) -> tuple[VarianceReport, np.ndarray]:
-    """The report of x and the delete-one variances behind its SEs."""
+def _report_and_squares(x: np.ndarray) -> tuple[VarianceReport, np.ndarray]:
+    """The report of x and its centred squares, np.var's (x - mean)^2."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected an (R, P) estimate array")
     r = x.shape[0]
     if r < MIN_JACKKNIFE_N:
         raise ValueError(f"the jackknife needs at least {MIN_JACKKNIFE_N} replicates")
-    var = np.var(x, axis=0, ddof=1)
-    loo = _loo_variances(x)
+    mean = np.mean(x, axis=0)
+    g = x - mean
+    g *= g
+    var = g.sum(axis=0) / (r - 1)
     report = VarianceReport(
         per_coordinate_variance=var,
-        per_coordinate_mean=np.mean(x, axis=0),
-        standard_errors=_jackknife_stat_se(loo),
+        per_coordinate_mean=mean,
+        standard_errors=_variance_se(g),
         mean_standard_errors=np.sqrt(var) / np.sqrt(r),
     )
-    return report, loo
+    return report, g
 
 
 def paired_difference_from_estimates(xa: np.ndarray, xb: np.ndarray) -> PairedVarianceDifference:
-    """Var(a) - Var(b) from two (R, P) estimate arrays that were produced on
-    the same replicate draws, with a paired delete-one jackknife SE (the
-    per-replicate estimates are correlated by construction, which the
-    delete-one recomputation accounts for). The delete-one variances behind
-    each report's SEs also give the difference's SE."""
+    """Var(a) - Var(b) from two (R, P) estimate arrays produced on the same
+    replicate draws, with a paired delete-one jackknife SE from the two
+    reports' centred squares (the per-replicate estimates are correlated by
+    construction, which the paired jackknife accounts for)."""
     xa = np.asarray(xa, dtype=float)
     xb = np.asarray(xb, dtype=float)
     if xa.shape != xb.shape or xa.ndim != 2:
         raise ValueError("expected two (R, P) arrays of equal shape")
-    report_a, loo_a = _report_and_loo(xa)
-    report_b, loo_b = _report_and_loo(xb)
+    report_a, g_a = _report_and_squares(xa)
+    report_b, g_b = _report_and_squares(xb)
     return PairedVarianceDifference(
         report_a=report_a,
         report_b=report_b,
         diff=report_a.per_coordinate_variance - report_b.per_coordinate_variance,
-        diff_se=_jackknife_stat_se(loo_a - loo_b),
+        diff_se=_variance_se(g_a - g_b),
     )
 
 
@@ -389,7 +392,9 @@ def delta_ratio_bound(
         C = gaussian_sup_ratio(q_params, target)
     if C <= 0.0:
         raise ValueError("C must be positive")
-    kurt = gaussian_score_kurtosis_analytic(q_params)
+    # each score's own kurtosis, as the Cauchy-Schwarz step needs: 3 for a
+    # mean score (Gaussian), 15 for a log-std one (affine in (z - mu)^2)
+    kurt = np.repeat([3.0, 15.0], q_params.dim)
     log_ev = target.log_evidence
     if kl == log_ev:
         bound = np.full(q_params.num_params, np.nan)

@@ -259,8 +259,8 @@ def gaussian_score_kurtosis_analytic(params: DiagGaussianParams) -> np.ndarray:
     maximised at mu = 0 where it equals 15. The log-std score itself,
     -1 + (z-mu)^2/sigma^2, is affine in the centred square (z-mu)^2, so its
     kurtosis is exactly 15 for every (mu, sigma); the two conventions agree
-    at mu = 0 and differ elsewhere. The z^2 convention is what the tail-bound
-    diagnostics consume, so it is the one reported here.
+    at mu = 0 and differ elsewhere. gaussian-oracles reports this z^2
+    convention; analysis.delta_ratio_bound uses each score's own kurtosis.
     """
     if not isinstance(params, DiagGaussianParams):
         raise TypeError("kurtosis formula is defined for the Gaussian family only")

@@ -1,6 +1,7 @@
 """Replicated-estimator statistics, correction-term MC, and tail bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from vargrad_lab.gaussian_oracles import (
     convention_coordinate,
     cov_f_score2_analytic,
     delta_cv_analytic,
+    expected_f_analytic,
     optimal_a_analytic,
 )
 from vargrad_lab.harness.config import parse_config
@@ -194,11 +196,57 @@ def test_replicate_estimates_validation():
 def test_report_from_estimates_matches_numpy():
     x = np.random.default_rng(104).normal(size=(500, 3))
     rep = report_from_estimates(x)
-    np.testing.assert_allclose(rep.per_coordinate_variance, x.var(axis=0, ddof=1))
-    np.testing.assert_allclose(rep.per_coordinate_mean, x.mean(axis=0))
+    # the centred squares behind the SEs are np.var's own, so the bits agree
+    np.testing.assert_array_equal(rep.per_coordinate_variance, x.var(axis=0, ddof=1))
+    np.testing.assert_array_equal(rep.per_coordinate_mean, x.mean(axis=0))
     np.testing.assert_allclose(
         rep.mean_standard_errors, x.std(axis=0, ddof=1) / math.sqrt(500)
     )
+
+
+def jackknife_variance_se_ref(xa, xb=None):
+    """Delete-one jackknife SE of the ddof=1 column variances of xa, or of
+    Var(xa) - Var(xb) on shared replicates, deleting each row in turn."""
+
+    def stat(i):
+        v = np.var(np.delete(xa, i, axis=0), axis=0, ddof=1)
+        return v if xb is None else v - np.var(np.delete(xb, i, axis=0), axis=0, ddof=1)
+
+    r = xa.shape[0]
+    loo = np.array([stat(i) for i in range(r)])
+    return np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("r", [3, 4, 50, 500])
+def test_variance_ses_equal_the_delete_one_loop(r):
+    # columns: N(0, 1), N(-5, 9), a constant (SE 0) and NaN (SE NaN, silently)
+    rng = np.random.default_rng(r)
+    xa = rng.normal(size=(r, 4))
+    xa[:, 1] = 3.0 * xa[:, 1] - 5.0
+    xa[:, 2] = 2.5
+    xa[:, 3] = np.nan
+    xb = 0.5 * xa + rng.standard_t(3, size=(r, 4))
+    xb[:, 2] = -1.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = report_from_estimates(xa)
+        pair = paired_difference_from_estimates(xa, xb)
+    np.testing.assert_allclose(rep.standard_errors, jackknife_variance_se_ref(xa), rtol=1e-12)
+    np.testing.assert_allclose(pair.diff_se, jackknife_variance_se_ref(xa, xb), rtol=1e-12)
+    for se in (rep.standard_errors, pair.diff_se):
+        assert se[2] == 0.0 and np.isnan(se[3])
+
+
+def test_variance_ses_keep_their_digits_far_from_zero():
+    # at |mean| / sd = 1e8, running sums of x and x^2 cancel every digit of
+    # the delete-one variances; the centred squares keep them
+    rng = np.random.default_rng(121)
+    xa = 1e8 + rng.normal(size=(50, 1))
+    xb = 1e8 + rng.normal(size=(50, 1))
+    rep = report_from_estimates(xa)
+    pair = paired_difference_from_estimates(xa, xb)
+    np.testing.assert_allclose(rep.standard_errors, jackknife_variance_se_ref(xa), rtol=1e-6)
+    np.testing.assert_allclose(pair.diff_se, jackknife_variance_se_ref(xa, xb), rtol=1e-6)
 
 
 def test_jackknife_variance_se_matches_normal_theory():
@@ -471,6 +519,22 @@ def test_bound_dominates_measured_ratio():
         kl = kl_gaussian_closed_form(q, t)
         ratio = np.abs(delta / kl)
         assert np.all(ratio <= rep.bound_rhs), (mu, s2, mut, s2t)
+
+
+def test_bound_uses_each_coordinates_own_score_kurtosis():
+    # near-posterior light-tailed setting (KL = 2.4e-6, C = 1.0015) where the
+    # log-std coordinate's exact |delta / E f| is 2561.97: the natural
+    # statistic's z^2 kurtosis (3.237 here) would give a bound of 2335.30,
+    # the log-std score's own kurtosis, 15, gives 5026.7
+    q, t = pair(
+        -3.5920849950235207, 0.2592230902013654, -3.5919185898964963, 0.2600152211479029
+    )
+    rep = delta_ratio_bound(q, t)
+    ratio = np.abs(delta_cv_analytic(q, t) / expected_f_analytic(q, t))
+    assert ratio[1] == pytest.approx(2561.97, rel=1e-5)
+    assert np.all(ratio <= rep.bound_rhs)
+    assert rep.bound_rhs[1] == pytest.approx(5026.7, rel=1e-4)
+    np.testing.assert_array_equal(rep.kurtosis, [3.0, 15.0])
 
 
 # -------------------------------------------------------- variance ordering
