@@ -1,12 +1,12 @@
-"""Diagnostics: weighted moments, correction terms, ratio bounds, and variance measurement.
+"""Diagnostics: correction terms, ratio bounds, and variance measurement.
 
 The quantities here quantify how far the leave-one-out estimator's implicit
 batch-mean coefficient sits from the per-coordinate optimal control-variate
-coefficient. The gap per coordinate is delta_i = Cov(f, score_i^2) /
-Var(score_i); the relative size |delta_i / E[f_bar]| admits an upper bound
-in terms of the KL divergence, the score kurtosis, and a density-ratio
-supremum, and the ratio shrinking is what justifies treating f_bar as a
-near-optimal coefficient.
+coefficient a*_i = E[f score_i^2] / E[score_i^2]. The gap per coordinate is
+delta_i = a*_i - E f = Cov(f, score_i^2) / E[score_i^2]; the relative size
+|delta_i / E[f_bar]| admits an upper bound in terms of the KL divergence,
+the score kurtosis, and a density-ratio supremum, and the ratio shrinking is
+what justifies treating f_bar as a near-optimal coefficient.
 
 Variance measurement runs R independent replicates of an estimator and
 reports per-coordinate means and variances. Standard errors come from
@@ -34,6 +34,7 @@ from .estimators import (
     BatchSums,
     batch_sums_from_draws,
     build_batch,
+    coefficient_gap,
     combine,
     cv_coefficient,
 )
@@ -65,10 +66,11 @@ MIN_JACKKNIFE_N = 3
 class DeltaReport:
     """Monte Carlo correction term per coordinate, with jackknife SEs.
 
-    cov is the sample covariance Cov(f, score_i^2), the numerator of
-    delta_cv, and cov_se its delete-one jackknife SE; both are defined for
-    every coordinate. delta_cv and ratio are NaN where valid is False (zero
-    score variance). a_vargrad_expectation is the sample mean of f, the
+    delta_cv is estimators.coefficient_gap, a_hat - f_bar = sum (f - f_bar)
+    score_i^2 / sum score_i^2. cov is its numerator over n - 1, the sample
+    covariance Cov(f, score_i^2), and cov_se its delete-one jackknife SE;
+    both are defined for every coordinate. delta_cv and ratio are NaN where
+    valid is False, where sum score_i^2 = 0. a_vargrad_expectation is the sample mean of f, the
     expectation of the batch-mean coefficient; ratio = delta_cv /
     a_vargrad_expectation.
     """
@@ -268,52 +270,36 @@ def paired_difference_from_estimates(xa: np.ndarray, xb: np.ndarray) -> PairedVa
     )
 
 
-def moments(f: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple:
-    """E f, then per coordinate E s, E s^2, E[f s] and E[f s^2], for f (n,)
-    and scores s (n, P) under weights w (n,) that sum to 1: w = 1/n over n
-    draws gives the Monte Carlo moments, w = q(z) over an enumerated support
-    the exact ones."""
-    wf = w * f
-    s2 = s**2
-    return w @ f, w @ s, w @ s2, wf @ s, wf @ s2
-
-
-def _cov_and_var(ef, es, es2, efs2, n: int):
-    """Cov(f, s^2) and Var(s), both ddof = 1, from the 1/n-weighted moments
-    of n draws."""
-    c = n / (n - 1)
-    return c * (efs2 - ef * es2), c * (es2 - es**2)
-
-
 def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int) -> DeltaReport:
     """Correction term per coordinate from n shared draws.
 
-    delta_i is the ratio of the sample covariance Cov(f, score_i^2) to the
-    sample variance Var(score_i); sharing the draws across numerator and
-    denominator makes this a biased (but consistent) ratio estimate, which
-    is accepted for diagnostics. SEs are delete-one jackknife on the
-    covariance and ratio statistics themselves.
+    delta_i is estimators.coefficient_gap of the batch, sum (f - f_bar)
+    s_i^2 / sum s_i^2; sharing the draws between numerator and denominator
+    makes it a biased (but consistent) ratio, accepted for diagnostics. SEs
+    are delete-one jackknife on the covariance and ratio statistics, whose
+    delete-one values are closed forms in the batch's sums.
     """
     if n < MIN_JACKKNIFE_N:
         raise ValueError(f"n must be >= {MIN_JACKKNIFE_N}")
-    f, sc = build_batch(params, target, families.draw(params, rng, n))
-    ef, es, es2, _, efs2 = moments(f, sc, np.full(n, 1.0 / n))
-    cov, var = _cov_and_var(ef, es, es2, efs2, n)
-    valid = var > 0.0
-    delta = np.where(valid, cov / np.where(valid, var, 1.0), np.nan)
-    a_exp = float(ef)
+    f, y = build_batch(params, target, families.draw(params, rng, n))
+    y *= y  # the squared scores; the scores are not read again
+    delta, num, den = coefficient_gap(f, y)
+    valid = den > 0.0
+    a_exp = float(f.mean())
     ratio = delta / a_exp if a_exp != 0.0 else np.full_like(delta, np.nan)
 
-    # Row i holds the moments without draw i, (n m - x_i) / (n - 1): O(n P).
-    y = sc**2
-    ef_t = ((n * ef - f) / (n - 1))[:, None]
-    loo = [(n * m - x) / (n - 1) for m, x in ((es, sc), (es2, y), (efs2, f[:, None] * y))]
-    del sc, y, f  # not read below; freeing them lowers the peak of the (n, P) temporaries
-    cov_t, var_t = _cov_and_var(ef_t, *loo, n - 1)
-    del loo
+    # Without draw i, with c_i = (f_i - f_bar) / (n - 1), the mean of f is
+    # f_bar - c_i, num is num - c_i (n y_i - den) and den is den - y_i.
+    c = (f - a_exp)[:, None] / (n - 1)
+    num_t = n * y
+    num_t -= den
+    num_t *= c
+    num_t = np.subtract(num, num_t, out=num_t)
+    den_t = np.subtract(den, y, out=y)
+    cov_se = _jackknife_stat_se(num_t) / (n - 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta_t = cov_t / var_t
-        ratio_t = delta_t / ef_t
+        delta_t = np.divide(num_t, den_t, out=num_t)
+        ratio_t = np.divide(delta_t, a_exp - c, out=den_t)
     delta_se = np.where(valid, _jackknife_stat_se(delta_t), np.nan)
     ratio_se = np.where(valid, _jackknife_stat_se(ratio_t), np.nan)
     return DeltaReport(
@@ -323,8 +309,8 @@ def delta_cv_mc(params: Params, target: Target, rng: np.random.Generator, n: int
         ratio=ratio,
         ratio_se=ratio_se,
         valid=valid,
-        cov=cov,
-        cov_se=_jackknife_stat_se(cov_t),
+        cov=num / (n - 1),
+        cov_se=cov_se,
     )
 
 
@@ -333,7 +319,7 @@ def exact_kl_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """KL(q || posterior) and its exact logit gradient, by enumeration.
 
-    The moments under w = q(z) over all 2^D states, of r(z) = log q(z) -
+    Weighted by w = q(z) over all 2^D states, with r(z) = log q(z) -
     log p(z|x) and the scores z - theta: KL = E_q r, and the gradient is the
     score-times-integrand form d KL / d logit_k = E_q[(z_k - theta_k) r(z)],
     exact here because the expectation is a finite sum. The score-mean-zero
@@ -344,10 +330,8 @@ def exact_kl_and_gradient(
     states = families.support_states(discrete.dim)
     log_q = families.log_density(params, states)
     r = log_q - (discrete.log_joint_table - discrete.log_evidence)
-    scores = families.score(params, (states,), 1.0)
-    del states  # freed before moments squares the scores: two (2^D, D) arrays at most
-    kl, _, _, grad, _ = moments(r, scores, np.exp(log_q))
-    return float(kl), grad
+    w = np.exp(log_q)
+    return float(w @ r), (w * r) @ families.score(params, (states,), 1.0)
 
 
 def gaussian_sup_ratio(q_params: DiagGaussianParams, target: GaussianTarget) -> float:

@@ -18,8 +18,9 @@ and the scores of given draws. Draws to batch sums:
 batch_sums_from_draws, the replicate kernel, reduces (R, S) batches of
 draws to the three sums every estimator is a function of, from the
 family's score statistics and without a score array. Sums to estimates:
-combine applies the Reinforce, CV or leave-one-out formula to those sums,
-and cv_coefficient is the sampled optimal CV coefficient of f and scores.
+combine applies the Reinforce, CV or leave-one-out formula to those sums;
+cv_coefficient, the s^2-weighted mean of f, estimates the optimal CV
+coefficient through coefficient_gap, which analysis.delta_cv_mc reads too.
 vargrad is the one single-batch estimator with its own name, because
 train-logreg steps with it; it is one batch through the kernel and combine.
 """
@@ -122,19 +123,30 @@ def combine(sums: BatchSums, tag: str, a=None) -> np.ndarray:
     raise ValueError(f"unknown estimator tag {tag!r}")
 
 
-def cv_coefficient(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Per-coordinate optimal control-variate coefficient from f (..., S) and
-    scores (..., S, P): the sample covariance Cov(f * score_i, score_i) over
-    the sample axis -2 divided by the sample variance Var(score_i), shape
-    (..., P). The 1/(S - 1) factors cancel in the ratio. Coordinates whose
-    score sample variance is exactly zero are NaN (missing), never zero.
+def coefficient_gap(
+    f: np.ndarray, squares: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The estimated optimal control-variate coefficient less the mean of f,
+    per coordinate, with the two sums it is the ratio of.
+
+    f is (..., S) and squares (..., S, P) holds each draw's squared scores.
+    The score has E s = 0, so a* = E[f s^2] / E[s^2] is estimated by
+    a_hat = sum f s^2 / sum s^2 over the sample axis, the mean of f weighted
+    by s^2, which lies within the batch's [min f, max f]. Returns
+    (a_hat - f_bar, num, den), each (..., P): num = sum (f - f_bar) s^2,
+    den = sum s^2, and the gap num / den is NaN exactly where den = 0.
     """
-    fs = f[..., None] * scores
-    sc_c = scores - scores.mean(axis=-2, keepdims=True)
-    num = np.sum((fs - fs.mean(axis=-2, keepdims=True)) * sc_c, axis=-2)
-    den = np.sum(sc_c**2, axis=-2)
+    f_centred = f - f.mean(axis=-1, keepdims=True)
+    num = np.matmul(f_centred[..., None, :], squares)[..., 0, :]
+    den = squares.sum(axis=-2)
     ok = den > 0.0
-    return np.where(ok, num / np.where(ok, den, 1.0), np.nan)
+    return np.where(ok, num / np.where(ok, den, 1.0), np.nan), num, den
+
+
+def cv_coefficient(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """a_hat = f_bar + coefficient_gap, shape (..., P), from f (..., S) and
+    scores (..., S, P)."""
+    return f.mean(axis=-1)[..., None] + coefficient_gap(f, scores**2)[0]
 
 
 def build_batch(params: Params, target: Target, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,9 +174,10 @@ def sampled_cv_coefficient(
     S_extra: int,
 ) -> np.ndarray:
     """Per-coordinate estimate of the optimal control-variate coefficient
-    (cv_coefficient) from an independent batch of S_extra draws. This is a
-    ratio of estimates and therefore biased; the bias shrinks as S_extra
-    grows. Zero-variance coordinates are NaN.
+    (cv_coefficient, the s^2-weighted mean of f) from an independent batch
+    of S_extra draws. This is a ratio of estimates and therefore biased;
+    the bias shrinks as S_extra grows. It lies within the batch's f range,
+    and is NaN only where a coordinate's S_extra scores are all zero.
     """
     if S_extra < 2:
         raise ValueError(f"S_extra must be >= 2, got {S_extra}")

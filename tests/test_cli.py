@@ -410,9 +410,9 @@ def test_one_blas_thread_limits_a_loaded_openblas():
 
 
 def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # delta_cv_mc's moments are the (n,) @ (n, P) products of
-    # analysis.moments; at 20000 draws and 60 parameters they are large
-    # enough for a threaded OpenBLAS to split their sums, which moves the
+    # delta_cv_mc's numerator sum (f - f_bar) s^2 is an (n,) @ (n, P)
+    # product (estimators.coefficient_gap); at 20000 draws and 60 parameters
+    # it is large enough for a threaded OpenBLAS to split its sum, which moves the
     # last bits of delta_mc (with _one_blas_thread a no-op, 1 and 2 threads
     # write different bytes); every run uses one BLAS thread
     cfg = write_cfg(

@@ -435,11 +435,40 @@ def test_sampled_cv_coefficient_tracks_optimal_value():
     assert np.all(np.abs(mean - want) <= 0.05 * np.abs(want) + 4.0 * se)
 
 
-def test_sampled_cv_coefficient_degenerate_scores_are_nan():
+def test_sampled_cv_coefficient_equal_scores_give_the_mean():
+    # at logit 50 the clamp draws z = 1 every time, so every |score| is the
+    # same 1e-7 and the s^2-weighted mean of f is the batch's plain mean
     b = MeanFieldBernoulliParams(logits=np.array([50.0]))
     model = DiscreteToyModel.from_posterior(np.array([0.5, 0.5]))
     got = sampled_cv_coefficient(b, model, np.random.default_rng(63), 100)
-    assert np.isnan(got[0])
+    f, _ = build_batch(b, model, draw(b, np.random.default_rng(63), 100))
+    assert abs(got[0] - f.mean()) <= 4.0 * np.spacing(f.mean())
+
+
+@pytest.mark.parametrize(
+    "q, target",
+    [
+        (
+            gauss([3.0, 3.0], [0.5 * math.log(3.0)] * 2),
+            GaussianTarget(post_mean=np.ones(2), post_var=np.ones(2)),
+        ),
+        (
+            MeanFieldBernoulliParams(logits=np.array([0.4, -1.3])),
+            DiscreteToyModel.from_posterior(np.array([0.1, 0.3, 0.15, 0.45])),
+        ),
+    ],
+    ids=["gaussian", "bernoulli"],
+)
+def test_cv_coefficient_stays_within_its_batch_range(q, target):
+    # a weighted mean of the batch's f, even at 2 draws, where a centred
+    # Cov/Var ratio (f1 s1 - f2 s2) / (s1 - s2) has a Cauchy tail
+    rows = 20_000
+    f, sc = build_batch(q, target, draw(q, np.random.default_rng(64), rows * 2))
+    f, sc = f.reshape(rows, 2), sc.reshape(rows, 2, -1)
+    a = estimators.cv_coefficient(f, sc)
+    ulps = 4.0 * np.spacing(np.abs(f).max(axis=1))[:, None]
+    assert np.all(a >= f.min(axis=1)[:, None] - ulps)
+    assert np.all(a <= f.max(axis=1)[:, None] + ulps)
 
 
 def test_sampled_cv_coefficient_needs_two_samples():

@@ -354,6 +354,28 @@ def test_gaussian_oracles_table(tmp_path):
     assert c2["kurt_mean"] == pytest.approx(3.0, rel=1e-12)
 
 
+def test_gaussian_oracles_kurtosis_columns(tmp_path):
+    # the second kurtosis column is the natural statistic z^2's,
+    # 3 (4 r^2 + 20 r + 5) / (2 r + 1)^2 with r = mu^2 / sigma2 = 3 here;
+    # the log-std score's own kurtosis is 15 at every setting
+    _, header, rows = run(
+        tmp_path,
+        f"""
+        experiment = gaussian-oracles
+        seed = 41
+        out = {tmp_path / 'kurt.csv'}
+        oracles.mc_draws = 100
+        """,
+    )
+    k = header.index("kurt_mean")
+    assert header[k + 1] == "kurt_z2"
+    assert "kurt_log_std" not in header
+    row = rows[0]  # the default grid's (3, 1, 3, 1, 4)
+    assert [row[c] for c in ("mu", "mu_tilde", "sigma2", "sigma2_tilde")] == [3, 1, 3, 1]
+    assert row["kurt_mean"] == 3.0
+    assert row["kurt_z2"] == pytest.approx(3.0 * 101.0 / 49.0, rel=1e-12)
+
+
 def test_gaussian_oracles_conventions_share_one_batch(tmp_path, monkeypatch):
     # one delta_cv_mc batch per grid row serves all three conventions, so
     # the variance and log-variance columns differ by exactly sigma^-4
@@ -440,7 +462,10 @@ def test_cv_comparison_oracle_vs_leave_one_out(tmp_path):
         assert var[("vargrad", k)] <= 2.0 * var[("cv_oracle", k)]
 
 
-def test_cv_comparison_sampled_coefficient_hurts_at_small_s(tmp_path):
+def test_cv_comparison_sampled_coefficient_is_bounded_at_small_s(tmp_path):
+    # a coefficient from 2 extra draws is a weighted mean of their f, so its
+    # variance is finite and cv_sampled stays near VarGrad at S = 2; a
+    # centred Cov/Var coefficient of 2 draws has a Cauchy tail
     _, _, rows = run(
         tmp_path,
         f"""
@@ -455,7 +480,7 @@ def test_cv_comparison_sampled_coefficient_hurts_at_small_s(tmp_path):
     )
     var = {(r["estimator"], r["coord"]): r["variance"] for r in rows}
     assert all(
-        var[("cv_sampled", k)] > var[("vargrad", k)] for k in range(60)
+        var[("cv_sampled", k)] <= 2.0 * var[("vargrad", k)] for k in range(60)
     )
 
 
