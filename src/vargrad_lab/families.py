@@ -19,7 +19,6 @@ coordinates must stay addressable for per-coordinate diagnostics:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,23 +35,14 @@ _LOGIT_CLIP = float(np.log1p(-PROB_EPS) - np.log(PROB_EPS))  # logit(1 - eps)
 MAX_ENUM_DIM = 20
 
 
-def _expit_scalar(v: float) -> float:
-    try:
-        return 1.0 / (1.0 + math.exp(-v))
-    except OverflowError:  # exp(-v) is past the float range, where C's exp gives inf
-        return 0.0
-
-
 def expit(x) -> np.ndarray:
-    """The logistic sigmoid 1 / (1 + exp(-x)), element by element.
-
-    Each element goes through math.exp, which is the C library's exp, the
-    call scipy.special.expit makes, so the two agree bit for bit. numpy's
-    vectorised exp rounds differently on about 2% of inputs, which would
-    move the Bernoulli probabilities and with them the unbiasedness CSV.
-    """
+    """The logistic sigmoid 1 / (1 + exp(-x)), element by element, within
+    2 ulp of the exact value. With e = exp(-|x|) it is 1 / (1 + e) for
+    x >= 0 and e / (1 + e) below, so exp never overflows and the
+    subnormal values of -745 < x < -708 are kept."""
     x = np.asarray(x, dtype=float)
-    return np.array([_expit_scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def gaussian_log_density(z: np.ndarray, mean: np.ndarray, var: np.ndarray, *, with_stats: bool):
@@ -92,9 +82,14 @@ class DiagGaussianParams:
                 f"mean and log_std must match: {self.mean.shape} vs {self.log_std.shape}"
             )
         # a log_std below about -372 gives variance 0, where the density is
-        # 0/0: a diverged optimiser step raises here instead of making NaNs
+        # 0/0: a diverged optimiser step raises here instead of making NaNs.
+        # A std below the float spacing at the mean leaves draws mean + std z
+        # on the floats next to the mean (on the mean itself for |z| < 1/2),
+        # so scores and variances would be rounding, not sampling
         if not np.all(np.exp(2.0 * self.log_std) > 0.0):
             raise ValueError("log_std too small: the variance underflows to 0")
+        if np.any(np.exp(self.log_std) < np.spacing(np.abs(self.mean))):
+            raise ValueError("log_std too small: the std is below the float spacing at the mean")
 
     @property
     def dim(self) -> int:

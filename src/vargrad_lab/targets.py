@@ -37,28 +37,23 @@ PRIOR_B_VAR = 1.0
 
 
 def logsumexp(a) -> float:
-    """log(sum(exp(a))) over all entries of a, by scipy.special.logsumexp's formula.
+    """log(sum(exp(a))) over all entries of a.
 
-    With m = max(a) and c entries equal to m, s = sum(exp(a - m)) over the
-    other entries, divided by c when nonzero; the result is
-    log1p(s) + log(c) + m, added in that order. The c maxima stay in the sum
-    as zeros, so numpy's pairwise summation groups the terms as scipy's
-    does. The result equals scipy 1.17's bit for bit, and its last bits are
-    fixed by this code rather than by an installed library. A non-finite
+    With m = a[i] a largest entry, the result is m + log1p(s), where s sums
+    exp(a - m) over the entries with entry i set to 0, so no exp overflows
+    and s keeps the digits a sum of 1 + s would round off. The result is
+    within 2 ulp of the exact value unless m and log1p(s) nearly cancel (a
+    result near 0, whose error is then a few ulp of m). A non-finite
     maximum (+inf, nan, or -inf when every entry is -inf) is the result.
     """
     a = np.asarray(a, dtype=float)
-    m = np.max(a)
+    i = np.argmax(a)  # the first nan, where there is one
+    m = a.flat[i]
     if not np.isfinite(m):
         return float(m)
-    at_max = a == m
-    c = np.count_nonzero(at_max)
     e = np.exp(a - m)
-    e[at_max] = 0.0
-    s = np.sum(e)
-    if s != 0.0:
-        s = s / c
-    return float(np.log1p(s) + np.log(c) + m)
+    e.flat[i] = 0.0
+    return float(m + np.log1p(np.sum(e)))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ tautology.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from typing import Callable
@@ -159,6 +160,28 @@ def cov_f_score2_ref(
     ef = gauss_expect(f, mu, sigma2)
     es2 = gauss_expect(lambda z: s(z) ** 2, mu, sigma2)
     return gauss_expect(lambda z: (f(z) - ef) * (s(z) ** 2 - es2), mu, sigma2)
+
+
+def sigmoid_ref(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) per element in 40-digit decimal arithmetic from the
+    exact binary value of x, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        one = decimal.Decimal(1)
+        out = [float(one / (one + (-decimal.Decimal(v)).exp())) for v in x.ravel().tolist()]
+    return np.array(out).reshape(x.shape)
+
+
+def logsumexp_ref(a: np.ndarray) -> float:
+    """log(sum(exp(a))) in 40-digit decimal arithmetic, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return float(sum(decimal.Decimal(v).exp() for v in a.tolist()).ln())
+
+
+def ulps_off(got, want) -> np.ndarray:
+    """|got - want| in units of the float spacing at want."""
+    return np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:

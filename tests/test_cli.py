@@ -453,36 +453,52 @@ def assert_exit_3(tmp_path, experiment, body, prefix="numerical abort:"):
 @pytest.mark.parametrize(
     "experiment, body",
     [
-        # sigma2 = 1e-300 passes validation, then squaring the closed form's
-        # 1/sigma2 coefficient overflows Python float arithmetic
-        ("variance-sweep", "sweep.grid_points = [[1, 2, 1e-300, 1, 2]]\nsweep.replicates = 50"),
         # at sigma2 = 1e300 the jackknife's squared estimates overflow numpy
         ("variance-sweep", "sweep.grid_points = [[1, 2, 1e300, 1, 2]]\nsweep.replicates = 50"),
-        # mu = 1e152 puts E f near 1e304, and the closed form's E f (E f + ...)
-        # product overflows a Python float to inf without raising; the draws
-        # equal mu in floating point, so every variance column is 0
-        ("variance-sweep", "sweep.grid_points = [[1e152, 0, 1e-10, 1, 4]]\nsweep.replicates = 50"),
         ("delta-ratio", "delta.sigma2 = 1e300\ndelta.dims = [1]"),
     ],
-    ids=[
-        "sweep-sigma2-1e-300",
-        "sweep-sigma2-1e300",
-        "sweep-mu-1e152",
-        "delta-ratio-sigma2-1e300",
-    ],
+    ids=["sweep-sigma2-1e300", "delta-ratio-sigma2-1e300"],
 )
 def test_overflow_during_a_run_is_a_numerical_abort(tmp_path, experiment, body):
     assert_exit_3(tmp_path, experiment, body)
 
 
 @pytest.mark.parametrize(
+    "experiment, body",
+    [
+        ("variance-sweep", "sweep.grid_points = [[1, 2, 1e-40, 1, 2]]"),
+        ("variance-sweep", "sweep.grid_points = [[1, 2, 1e-300, 1, 2]]\nsweep.replicates = 50"),
+        ("variance-sweep", "sweep.grid_points = [[1e152, 0, 1e-10, 1, 4]]\nsweep.replicates = 50"),
+        ("cv-comparison", "cv.mu = 1e12\ncv.sigma2 = 1e-12"),
+        ("gaussian-oracles", "oracles.grid_points = [[1, 2, 1e-40, 1, 4]]"),
+    ],
+    ids=[
+        "sweep-sigma2-1e-40",
+        "sweep-sigma2-1e-300",
+        "sweep-mu-1e152",
+        "cv-mu-1e12",
+        "oracles-sigma2-1e-40",
+    ],
+)
+def test_q_whose_draws_round_to_its_mean_is_refused(tmp_path, experiment, body):
+    # a std below the float spacing at the mean would write variances of 0
+    # (the sweep's closed form is 1e43 at sigma2 = 1e-40)
+    assert_exit_3(
+        tmp_path,
+        experiment,
+        body,
+        prefix="run error: log_std too small: the std is below the float spacing at the mean\n",
+    )
+
+
+@pytest.mark.parametrize(
     "experiment, body, reason",
     [
-        # squaring the closed form's 1/sigma2 coefficient overflows a Python
-        # float, whose message is only an errno pair
+        # squaring the closed form's 1/sigma2_tilde - 1/sigma2 coefficient
+        # overflows a Python float, whose message is only an errno pair
         (
-            "variance-sweep",
-            "sweep.grid_points = [[1, 2, 1e-300, 1, 2]]\nsweep.replicates = 50",
+            "gaussian-oracles",
+            "oracles.grid_points = [[0, 0, 1e-160, 1, 2]]\noracles.mc_draws = 50",
             "float overflow: (34, 'Numerical result out of range')",
         ),
         # sigma2 / sigma2_tilde = 1e300 / 1e-300 overflows numpy in the KL
@@ -492,7 +508,7 @@ def test_overflow_during_a_run_is_a_numerical_abort(tmp_path, experiment, body):
             "overflow encountered in divide",
         ),
     ],
-    ids=["sweep", "oracles"],
+    ids=["oracles-float", "oracles"],
 )
 def test_overflow_message_names_the_overflow(tmp_path, experiment, body, reason):
     assert_exit_3(tmp_path, experiment, body, prefix=f"numerical abort: {reason}\n")

@@ -23,7 +23,7 @@ from vargrad_lab.families import (
     support_states,
 )
 
-from oracles import fd_gradient, gauss_expect, support_probs_ref
+from oracles import fd_gradient, gauss_expect, sigmoid_ref, support_probs_ref, ulps_off
 
 
 def gauss(mean, log_std):
@@ -314,12 +314,21 @@ def test_kurtosis_is_maximised_at_zero_mean():
 
 
 @pytest.mark.parametrize("scale", [0.1, 1.0, 5.0, 40.0, 300.0])
-def test_expit_matches_scipy_bit_for_bit(scale):
+def test_expit_is_within_2_ulp_of_exact_arithmetic(scale):
     x = np.random.default_rng(11).normal(0.0, scale, size=(50, 400))
-    assert np.array_equal(expit(x), scipy.special.expit(x))
+    assert np.max(ulps_off(expit(x), sigmoid_ref(x))) <= 2.0
+
+
+def test_expit_keeps_its_subnormal_tail():
+    # exp(-x) overflows below x = -709.78, but the sigmoid, about exp(x),
+    # stays a nonzero subnormal down to x = -745
+    x = np.random.default_rng(13).uniform(-744.0, -710.0, size=500)
+    got = expit(x)
+    assert np.all(got > 0.0)
+    assert np.max(ulps_off(got, sigmoid_ref(x))) <= 2.0
 
 
 def test_expit_edges_match_scipy():
-    # exp(800) overflows, where C's exp returns inf and the sigmoid is 0
+    # past the float range the sigmoid rounds to 1 (x = 800) and 0 (x = -800)
     x = np.array([800.0, -800.0, np.inf, -np.inf, np.nan, 0.0, -0.0])
     assert np.array_equal(expit(x), scipy.special.expit(x), equal_nan=True)
