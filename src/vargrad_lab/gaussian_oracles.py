@@ -16,9 +16,10 @@ Scores in these conventions are rescaled library scores
 (d/d sigma^2 = sigma^-2 d/d log sigma^2, and the log-std score is twice the
 log-variance score), so a squared score is a library coordinate's squared
 score times a squared chain factor: 1 for the mean, 1/4 for log sigma^2 and
-1/(4 sigma^4) for sigma^2. convention_coordinate is that one mapping; the
-closed-form Cov(f, score^2) and the Monte Carlo one of gaussian-oracles
-both go through it.
+1/(4 sigma^4) for sigma^2. convention_coordinate is that one mapping:
+gaussian-oracles writes the closed-form Cov(f, score^2) as its factor times
+delta_cv_analytic times score_variance_analytic (Cov = delta Var) at its
+library coordinate, and rescales the Monte Carlo one the same way.
 
 Two standard Gaussian facts used below, derived from the central moments
 E[u^2] = sigma^2, E[u^4] = 3 sigma^4, E[u^6] = 15 sigma^6 of u = z - mean:
@@ -56,7 +57,10 @@ def delta_var_analytic(q_params: DiagGaussianParams, target: GaussianTarget, S: 
 
     For u = z - mu the integrand decomposes as f = c0 + c1 u + c2 u^2 with
     c1 = dmu / sigma2_tilde and c2 = (1/sigma2_tilde - 1/sigma2) / 2, and
-    E[f] = KL - log p(x). Expanding both estimators' second moments over S
+    E[f] = KL - log p(x). c2 is computed as delta / (2 sigma2) from
+    delta = sigma2/sigma2_tilde - 1 of delta_cv_analytic: the difference of
+    two nearly equal reciprocals would lose digits next to the diagonal
+    sigma2 = sigma2_tilde. Expanding both estimators' second moments over S
     iid draws gives
 
         E[f] (E[f] + 4 c2 sigma^2) / (S sigma^2)
@@ -77,7 +81,7 @@ def delta_var_analytic(q_params: DiagGaussianParams, target: GaussianTarget, S: 
     s = float(S)
     s2, s2t = float(q_params.var[0]), float(target.post_var[0])
     c1 = float(q_params.mean[0] - target.post_mean[0]) / s2t
-    c2 = 0.5 * (1.0 / s2t - 1.0 / s2)
+    c2 = 0.5 * float(delta_cv_analytic(q_params, target)[0]) / s2
     ef = expected_f_analytic(q_params, target)
     out = ef * (ef + 4.0 * c2 * s2) / (s * s2) - 2.0 * (c1**2 + c2**2 * s2) / (s * (s - 1.0))
     # Python float products give inf silently where a power would raise
@@ -116,26 +120,6 @@ def convention_coordinate(
         # a power, unlike a quotient, raises OverflowError instead of giving inf
         return q_params.dim + k, 0.25 * float(q_params.var[k]) ** -2.0
     raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-
-
-def cov_f_score2_analytic(
-    q_params: DiagGaussianParams, target: GaussianTarget, k: int, convention: str
-) -> float:
-    """Closed-form Cov_q(f, score_k^2) for coordinate k of a diagonal pair:
-    the squared chain factor of the convention times delta_cv_analytic and
-    score_variance_analytic at its library coordinate (Cov = delta Var).
-
-    mean convention:         1/sigma_tilde_k^2 - 1/sigma_k^2
-    sigma^2 convention:      (1/sigma_k^2) (1/sigma_tilde_k^2 - 1/sigma_k^2)
-    log sigma^2 convention:  sigma_k^2 (1/sigma_tilde_k^2 - 1/sigma_k^2)
-
-    Only coordinate k of f contributes since the coordinates are
-    independent, and the evidence constant drops out of every covariance.
-    """
-    require_same_dim(q_params, target)
-    i, factor = convention_coordinate(q_params, k, convention)
-    cov = delta_cv_analytic(q_params, target)[i] * score_variance_analytic(q_params)[i]
-    return factor * float(cov)
 
 
 def score_variance_analytic(q_params: DiagGaussianParams) -> np.ndarray:

@@ -37,7 +37,6 @@ from ..families import DiagGaussianParams, MeanFieldBernoulliParams
 from ..gaussian_oracles import (
     CONVENTIONS,
     convention_coordinate,
-    cov_f_score2_analytic,
     delta_cv_analytic,
     delta_var_analytic,
     delta_var_large_s,
@@ -311,24 +310,26 @@ def run_gaussian_oracles(cfg: ExperimentConfig, workers: int = 1) -> str:
             "delta_var_large_s": delta_var_large_s(mu - mu_tilde, sigma2 - sigma2_tilde),
             "kl": losses.kl_gaussian_closed_form(q, target),
         }
+        delta, score_var = delta_cv_analytic(q, target), score_variance_analytic(q)
         # each oracle is evaluated once; its pair fills the mean and log-std
         # columns, but the kurtosis pair's second value is the natural
         # statistic z^2's (the log-std score's own is 15 at every setting)
         for name, second, values in (
-            ("delta", "log_std", delta_cv_analytic(q, target)),
+            ("delta", "log_std", delta),
             ("a_opt", "log_std", optimal_a_analytic(q, target)),
-            ("score_var", "log_std", score_variance_analytic(q)),
+            ("score_var", "log_std", score_var),
             ("kurt", "z2", families.gaussian_score_kurtosis_analytic(q)),
         ):
             block[f"{name}_mean"] = float(values[0])
             block[f"{name}_{second}"] = float(values[1])
-        # one batch serves every convention, each a rescaled library
-        # coordinate of Cov(f, score^2); the "oracles-mean" label keeps the
-        # draws of the mean columns
+        # Cov(f, score^2) = delta Var(score) per library coordinate; one batch
+        # serves every convention, each a rescaled library coordinate, and
+        # the "oracles-mean" label keeps the draws of the mean columns
+        cov = delta * score_var
         mc = analysis.delta_cv_mc(q, target, split_stream(cfg.seed, "oracles-mean", i), n_mc)
         for convention in CONVENTIONS:
             k, factor = convention_coordinate(q, 0, convention)
-            block[f"cov_{convention}"] = cov_f_score2_analytic(q, target, 0, convention)
+            block[f"cov_{convention}"] = factor * float(cov[k])
             block[f"cov_{convention}_mc"] = factor * float(mc.cov[k])
             block[f"cov_{convention}_mc_se"] = factor * float(mc.cov_se[k])
         blocks.append(block)

@@ -31,8 +31,9 @@ from vargrad_lab.estimators import build_batch, combine, sampled_cv_coefficient,
 from vargrad_lab.families import DiagGaussianParams, MeanFieldBernoulliParams
 from vargrad_lab.gaussian_oracles import (
     convention_coordinate,
-    cov_f_score2_analytic,
+    delta_cv_analytic,
     optimal_a_analytic,
+    score_variance_analytic,
 )
 from vargrad_lab.harness import cli
 from vargrad_lab.harness.config import parse_config
@@ -163,9 +164,10 @@ def test_c03_variance_gap_matches_closed_form_across_sweep(tmp_path):
 
 def test_c04_f_score_squared_covariance_all_conventions():
     """Monte Carlo Cov(f, score^2) from one batch of 1e6 draws per setting
-    matches the closed form within 3 SE for the mean, variance, and
-    log-variance conventions on six settings, including the sigma2=3 vs 1
-    anchor whose mean-coordinate value is 2/3."""
+    matches the closed form delta Var(score), rescaled to the convention,
+    within 3 SE for the mean, variance, and log-variance conventions on six
+    settings, including the sigma2=3 vs 1 anchor whose mean-coordinate value
+    is 2/3."""
     settings = [
         (3.0, 3.0, 1.0, 1.0),
         (1.0, 1.0, 2.0, 1.0),
@@ -175,16 +177,16 @@ def test_c04_f_score_squared_covariance_all_conventions():
         (0.0, 1.0, 1.0, 3.0),
     ]
     anchor_q, anchor_t = gaussian_pair(*settings[0])
-    assert cov_f_score2_analytic(anchor_q, anchor_t, 0, "mean") == pytest.approx(
-        2.0 / 3.0, rel=1e-12
-    )
+    anchor = delta_cv_analytic(anchor_q, anchor_t) * score_variance_analytic(anchor_q)
+    assert anchor[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     for i, setting in enumerate(settings):
         q, t = gaussian_pair(*setting)
         rep = delta_cv_mc(q, t, split_stream(400, "acc-c4-mean", i), 10**6)
+        cov = delta_cv_analytic(q, t) * score_variance_analytic(q)
         for conv in ("mean", "variance", "log_variance"):
             k, factor = convention_coordinate(q, 0, conv)
             est, se = factor * rep.cov[k], factor * rep.cov_se[k]
-            exact = cov_f_score2_analytic(q, t, 0, conv)
+            exact = factor * cov[k]
             assert abs(est - exact) <= 3.0 * se, (setting, conv)
 
 

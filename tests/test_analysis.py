@@ -35,10 +35,10 @@ from vargrad_lab.families import (
 )
 from vargrad_lab.gaussian_oracles import (
     convention_coordinate,
-    cov_f_score2_analytic,
     delta_cv_analytic,
     expected_f_analytic,
     optimal_a_analytic,
+    score_variance_analytic,
 )
 from vargrad_lab.harness.config import parse_config
 from vargrad_lab.harness.csvio import read_csv
@@ -624,14 +624,16 @@ def test_ordering_trivial_at_posterior(tmp_path):
 @pytest.mark.parametrize("convention", ["mean", "variance", "log_variance"])
 def test_delta_cv_mc_covariance_matches_quadrature(convention):
     # delta_cv_mc's Cov(f, score^2) on the library coordinate of the
-    # convention, times its squared chain factor, is that convention's covariance
+    # convention, times its squared chain factor, is that convention's
+    # covariance, as is the closed form delta Var(score) rescaled the same way
     q, t = pair(1.0, 0.5, 0.0, 1.0)
     rep = delta_cv_mc(q, t, np.random.default_rng(119), 200_000)
     k, factor = convention_coordinate(q, 0, convention)
     got, se = factor * rep.cov[k], factor * rep.cov_se[k]
     want = cov_f_score2_ref(1.0, 0.0, 0.5, 1.0, convention)
     assert abs(got - want) < 4.0 * se
-    assert cov_f_score2_analytic(q, t, 0, convention) == pytest.approx(want, rel=1e-9)
+    exact = factor * delta_cv_analytic(q, t)[k] * score_variance_analytic(q)[k]
+    assert exact == pytest.approx(want, rel=1e-9)
 
 
 def test_delta_cv_mc_covariance_is_the_delta_numerator():

@@ -15,7 +15,6 @@ from vargrad_lab.analysis import (
 from vargrad_lab.estimators import REINFORCE_TAG, VARGRAD_TAG, build_batch
 from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
-    cov_f_score2_analytic,
     delta_cv_analytic,
     delta_var_analytic,
     optimal_a_analytic,
@@ -34,6 +33,7 @@ from vargrad_lab.harness.rng import split_stream
 from vargrad_lab.losses import kl_gaussian_closed_form, kl_gaussian_gradient
 from vargrad_lab.targets import GaussianTarget, synth_logreg_dataset
 
+from oracles import cov_f_score2_ref
 from test_acceptance import C10_REDUCED
 
 
@@ -340,7 +340,10 @@ def test_gaussian_oracles_table(tmp_path):
         assert r["kl"] == kl_gaussian_closed_form(q, t)
         assert r["a_opt_mean"] == optimal_a_analytic(q, t)[0]
         for conv in ("mean", "variance", "log_variance"):
-            assert r[f"cov_{conv}"] == cov_f_score2_analytic(q, t, 0, conv)
+            want = cov_f_score2_ref(
+                r["mu"], r["mu_tilde"], r["sigma2"], r["sigma2_tilde"], conv
+            )
+            assert r[f"cov_{conv}"] == pytest.approx(want, rel=1e-9)
             assert (
                 abs(r[f"cov_{conv}_mc"] - r[f"cov_{conv}"])
                 < 4.0 * r[f"cov_{conv}_mc_se"]

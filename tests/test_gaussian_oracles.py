@@ -5,6 +5,7 @@ from adaptive quadrature and the multi-sample variances from a direct
 expansion over i.i.d. draws, so the two sides are independent derivations.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from vargrad_lab.families import DiagGaussianParams
 from vargrad_lab.gaussian_oracles import (
     CONVENTIONS,
     convention_coordinate,
-    cov_f_score2_analytic,
     delta_cv_analytic,
     delta_var_analytic,
     delta_var_large_s,
@@ -43,6 +43,14 @@ def gauss(mean, log_std):
     return DiagGaussianParams(
         mean=np.asarray(mean, dtype=float), log_std=np.asarray(log_std, dtype=float)
     )
+
+
+def cov_analytic(q, t, conv):
+    # the closed-form Cov(f, score^2) that gaussian-oracles writes: the
+    # convention's squared chain factor times delta Var(score) at its
+    # library coordinate
+    k, factor = convention_coordinate(q, 0, conv)
+    return factor * float(delta_cv_analytic(q, t)[k] * score_variance_analytic(q)[k])
 
 
 # ------------------------------------------------------------ variance gap
@@ -92,6 +100,27 @@ def test_delta_var_matches_quadrature_reference(mu, mu_tilde, sigma2, sigma2_til
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("sigma2, S", [(1.0 + 1e-8, 4), (1.0 - 1e-8, 9)])
+def test_delta_var_is_exact_next_to_the_diagonal(sigma2, S):
+    # sigma2 = sigma2_tilde (1 +- 1e-8): c2 = (1/sigma2_tilde - 1/sigma2) / 2
+    # cancels to ~5e-9, and the c2^2 term is nearly all of the gap; the
+    # reference evaluates the same closed form at the stored doubles in
+    # 60-digit decimal arithmetic
+    q, t = _gaussian_pair(0.0, 0.0, sigma2, 1.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        mu, mut = decimal.Decimal(float(q.mean[0])), decimal.Decimal(float(t.post_mean[0]))
+        s2, s2t = decimal.Decimal(float(q.var[0])), decimal.Decimal(float(t.post_var[0]))
+        s = decimal.Decimal(S)
+        ef = (s2 / s2t - 1 - (s2 / s2t).ln()) / 2 + (mu - mut) ** 2 / (2 * s2t)
+        c1 = (mu - mut) / s2t
+        c2 = (1 / s2t - 1 / s2) / 2
+        exact = float(
+            ef * (ef + 4 * c2 * s2) / (s * s2) - 2 * (c1**2 + c2**2 * s2) / (s * (s - 1))
+        )
+    assert delta_var_analytic(q, t, S) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
 def test_delta_var_large_s_scaling_limit():
     # 4 S Delta -> (Delta mu^4 + ...) / (sigma^4 sigma~^2)-style constant; at
     # (1, 2, 1, 1) the normalised product 4 S Delta tends to 1
@@ -117,7 +146,6 @@ def test_delta_var_validates_inputs():
         gaussian_sup_ratio,
         delta_cv_analytic,
         optimal_a_analytic,
-        lambda q, t: cov_f_score2_analytic(q, t, 0, "mean"),
     ]
     for caller in callers:
         with pytest.raises(ValueError, match="dimensions differ"):
@@ -185,10 +213,10 @@ def test_large_s_polynomial_sign_matches_exact_gap_near_diagonal(dmu, dsigma2):
 
 def test_cov_f_score2_frozen_and_zero_cases():
     q, t = _gaussian_pair(3.0, 1.0, 3.0, 1.0)
-    assert cov_f_score2_analytic(q, t, 0, "mean") == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert cov_analytic(q, t, "mean") == pytest.approx(2.0 / 3.0, rel=1e-14)
     matched_q, matched_t = _gaussian_pair(0.3, 0.9, 1.7, 1.7)
     for conv in CONVENTIONS:
-        assert cov_f_score2_analytic(matched_q, matched_t, 0, conv) == pytest.approx(
+        assert cov_analytic(matched_q, matched_t, conv) == pytest.approx(
             0.0, abs=1e-14
         )
 
@@ -200,7 +228,7 @@ def test_cov_f_score2_frozen_and_zero_cases():
 )
 def test_cov_f_score2_matches_quadrature(conv, mu, sigma2, mu_tilde, sigma2_tilde):
     q, t = _gaussian_pair(mu, mu_tilde, sigma2, sigma2_tilde)
-    got = cov_f_score2_analytic(q, t, 0, conv)
+    got = cov_analytic(q, t, conv)
     want = cov_f_score2_ref(mu, mu_tilde, sigma2, sigma2_tilde, conv)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -210,8 +238,8 @@ def test_cov_f_score2_chain_rule_between_conventions():
     # squared-score covariance picks up sigma^-4
     for mu, sigma2 in [(1.0, 0.5), (2.0, 3.0), (-0.3, 1.7)]:
         q, t = _gaussian_pair(mu, 0.0, sigma2, 1.0)
-        log_var = cov_f_score2_analytic(q, t, 0, "log_variance")
-        var = cov_f_score2_analytic(q, t, 0, "variance")
+        log_var = cov_analytic(q, t, "log_variance")
+        var = cov_analytic(q, t, "variance")
         assert var == pytest.approx(log_var / sigma2**2, rel=1e-13)
 
 
@@ -224,12 +252,12 @@ def test_convention_coordinate_places_each_convention():
     assert index == 3 and factor == pytest.approx(0.25 / var**2, rel=1e-15)
 
 
-def test_cov_f_score2_validates_inputs():
-    q, t = _gaussian_pair(0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        cov_f_score2_analytic(q, t, 0, "nonsense")
-    with pytest.raises(ValueError):
-        cov_f_score2_analytic(q, t, 5, "mean")
+def test_convention_coordinate_validates_inputs():
+    q, _ = _gaussian_pair(0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="unknown convention 'nonsense'"):
+        convention_coordinate(q, 0, "nonsense")
+    with pytest.raises(ValueError, match="coordinate 5 out of range for D=1"):
+        convention_coordinate(q, 5, "mean")
 
 
 # ------------------------------------------------------------ score variance
@@ -270,17 +298,15 @@ def test_delta_cv_anchor_values():
 
 def test_delta_cv_is_convention_invariant():
     # delta_i = Cov(f, s_i^2) / Var(s_i) is unchanged by rescaling the score,
-    # so the variance and log-variance routes give the same number
+    # so the variance and log-variance routes, each by quadrature, give the
+    # log-std entry
     for mu, sigma2, mut, s2t in [(1.0, 0.5, 0.0, 1.0), (2.0, 3.0, 1.0, 0.7)]:
         q, t = _gaussian_pair(mu, mut, sigma2, s2t)
-        base = sigma2 / s2t - 1.0
-        ratio_log_var = cov_f_score2_analytic(q, t, 0, "log_variance") / 0.5
-        ratio_var = cov_f_score2_analytic(q, t, 0, "variance") / (
-            0.5 / sigma2**2
-        )
-        assert ratio_log_var == pytest.approx(base * 2.0, rel=1e-12)
-        assert ratio_var == pytest.approx(ratio_log_var, rel=1e-12)
-        assert delta_cv_analytic(q, t)[1] == pytest.approx(ratio_log_var, rel=1e-12)
+        ratio_log_var = cov_f_score2_ref(mu, mut, sigma2, s2t, "log_variance") / 0.5
+        ratio_var = cov_f_score2_ref(mu, mut, sigma2, s2t, "variance") / (0.5 / sigma2**2)
+        assert ratio_log_var == pytest.approx(2.0 * (sigma2 / s2t - 1.0), rel=1e-9)
+        assert ratio_var == pytest.approx(ratio_log_var, rel=1e-9)
+        assert delta_cv_analytic(q, t)[1] == pytest.approx(ratio_log_var, rel=1e-9)
 
 
 def test_delta_cv_scale_invariance_in_dimension():
