@@ -1,22 +1,26 @@
 """Diagnostics: correction terms, ratio bounds, and variance measurement.
 
-The quantities here quantify how far the leave-one-out estimator's implicit
-batch-mean coefficient sits from the per-coordinate optimal control-variate
-coefficient a*_i = E[f score_i^2] / E[score_i^2]. The gap per coordinate is
-delta_i = a*_i - E f = Cov(f, score_i^2) / E[score_i^2]; the relative size
-|delta_i / E[f_bar]| admits an upper bound in terms of the KL divergence,
-the score kurtosis, and a density-ratio supremum, and the ratio shrinking is
-what justifies treating f_bar as a near-optimal coefficient.
+The leave-one-out estimator's implicit coefficient is the batch mean f_bar;
+the optimal control-variate coefficient is a*_i = E[f s_i^2] / E[s_i^2] for
+score s_i. Their gap delta_i = a*_i - E f = Cov(f, s_i^2) / E[s_i^2] is
+bounded relative to E[f_bar] by the KL divergence, the score kurtosis and a
+density-ratio supremum, and it is a scaled coordinate of the exact KL
+gradient g = E[f s], whatever the target. Bernoulli logit: s^2 - E s^2 =
+(1 - 2 theta) s, so delta_i = (1 - 2 theta_i) g_i / (theta_i (1 - theta_i)).
+Gaussian, w = (z - mean)/sigma: s_mean^2 sigma^2 = He_2(w) + 1, and
+s_logstd = He_2 has s_logstd^2 = He_4 + 4 He_2 + 2, so delta_mean_k =
+g_logstd_k and delta_logstd_k = 2 g_logstd_k + E[f He_4(w_k)]/2, the last
+term 0 for a Gaussian target. At every stationary point delta = 0 for
+Bernoulli and Gaussian mean coordinates: there E f_bar is optimal.
 
 Variance measurement runs R independent replicates of an estimator and
-reports per-coordinate means and variances. Standard errors come from
-delete-one jackknife over the replicates rather than a Gaussian
-approximation, because fourth-moment statistics of score products are
-heavy-tailed. Estimators compared against each other are evaluated on
-shared replicate draws so that differences carry a paired jackknife SE. The
+reports per-coordinate means and variances, with delete-one jackknife SEs
+rather than a Gaussian approximation, because fourth-moment statistics of
+score products are heavy-tailed. Estimators compared against each other
+share replicate draws, so differences carry a paired jackknife SE. The
 jackknife SE of a variance, or of a paired difference of two, is a closed
-form in the centred squares (x_i - mean)^2, so no delete-one array is
-formed and no digits are lost where |mean| >> sd.
+form in the centred squares (x_i - mean)^2: no delete-one array is formed
+and no digits are lost where |mean| >> sd.
 """
 
 from __future__ import annotations
@@ -67,12 +71,14 @@ class DeltaReport:
     """Monte Carlo correction term per coordinate, with jackknife SEs.
 
     delta_cv is estimators.coefficient_gap, a_hat - f_bar = sum (f - f_bar)
-    score_i^2 / sum score_i^2. cov is its numerator over n - 1, the sample
-    covariance Cov(f, score_i^2), and cov_se its delete-one jackknife SE;
-    both are defined for every coordinate. delta_cv and ratio are NaN where
-    valid is False, where sum score_i^2 = 0. a_vargrad_expectation is the sample mean of f, the
-    expectation of the batch-mean coefficient; ratio = delta_cv /
-    a_vargrad_expectation.
+    score_i^2 / sum score_i^2, an estimate of the module docstring's exact
+    delta (0 at every stationary point for Bernoulli and Gaussian mean
+    coordinates); it and ratio = delta_cv / a_vargrad_expectation are NaN
+    where valid is False, where sum score_i^2 = 0. cov is its numerator over
+    n - 1, the sample covariance Cov(f, score_i^2), with cov_se its
+    delete-one jackknife SE, both defined for every coordinate.
+    a_vargrad_expectation is the sample mean of f, the expectation of the
+    batch-mean coefficient.
     """
 
     delta_cv: np.ndarray

@@ -1,31 +1,29 @@
 """Closed-form ground truth for diagonal-Gaussian settings.
 
-Everything in this module is pen-and-paper algebra for the case where both
-q and the posterior are diagonal Gaussians; the functions exist to be
-compared against the Monte Carlo machinery, not to replace it. The
-mean-gradient variance difference between the plain score-function estimator
-and the leave-one-out estimator has an exact one-dimensional expression, the
-covariance Cov(f, score^2) has per-coordinate closed forms, and composing
-them with the closed-form KL gives the analytically optimal control-variate
-coefficient.
+Pen-and-paper algebra for q and the posterior both diagonal Gaussians, to
+be compared against the Monte Carlo machinery, not to replace it: the exact
+1-D variance difference between the plain score-function estimator and the
+leave-one-out estimator, and the optimal control-variate coefficient
+E f + delta. They read the exact KL gradient g of
+losses.kl_gaussian_gradient, whose blocks are (mean - post_mean)/post_var
+and sigma^2/sigma_tilde^2 - 1. By the analysis module's identities,
+delta_mean_k = g_logstd_k and delta_logstd_k = 2 g_logstd_k for a Gaussian
+target, so delta = 0 at q = posterior, the one stationary point.
 
 Coordinate conventions. The library parameterises Gaussians by (mean,
-log-std), while the variance analysis is naturally stated per coordinate in
-one of three conventions: the mean, the variance sigma^2, or log sigma^2.
-Scores in these conventions are rescaled library scores
+log-std); the variance analysis states a coordinate as the mean, the
+variance sigma^2 or log sigma^2. Their scores are rescaled library scores
 (d/d sigma^2 = sigma^-2 d/d log sigma^2, and the log-std score is twice the
 log-variance score), so a squared score is a library coordinate's squared
 score times a squared chain factor: 1 for the mean, 1/4 for log sigma^2 and
 1/(4 sigma^4) for sigma^2. convention_coordinate is that one mapping:
 gaussian-oracles writes the closed-form Cov(f, score^2) as its factor times
-delta_cv_analytic times score_variance_analytic (Cov = delta Var) at its
-library coordinate, and rescales the Monte Carlo one the same way.
+delta_cv_analytic times score_variance_analytic (Cov = delta Var), and
+rescales the Monte Carlo one the same way.
 
-Two standard Gaussian facts used below, derived from the central moments
-E[u^2] = sigma^2, E[u^4] = 3 sigma^4, E[u^6] = 15 sigma^6 of u = z - mean:
+From E[u^2] = sigma^2, E[u^4] = 3 sigma^4 of u = z - mean:
 Var(d log q / d mean) = 1/sigma^2 and Var(d log q / d log sigma^2) = 1/2
-(hence 2 for the log-std coordinate). Both are Monte Carlo checked in tests
-rather than trusted.
+(hence 2 for the log-std coordinate), both Monte Carlo checked in tests.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import math
 import numpy as np
 
 from .families import DiagGaussianParams
-from .losses import kl_gaussian_closed_form, require_same_dim
+from .losses import kl_gaussian_closed_form, kl_gaussian_gradient
 from .targets import GaussianTarget
 
 MEAN_CONVENTION = "mean"
@@ -56,32 +54,29 @@ def delta_var_analytic(q_params: DiagGaussianParams, target: GaussianTarget, S: 
     estimate.
 
     For u = z - mu the integrand decomposes as f = c0 + c1 u + c2 u^2 with
-    c1 = dmu / sigma2_tilde and c2 = (1/sigma2_tilde - 1/sigma2) / 2, and
-    E[f] = KL - log p(x). c2 is computed as delta / (2 sigma2) from
-    delta = sigma2/sigma2_tilde - 1 of delta_cv_analytic: the difference of
-    two nearly equal reciprocals would lose digits next to the diagonal
-    sigma2 = sigma2_tilde. Expanding both estimators' second moments over S
-    iid draws gives
+    c1 = dmu / sigma2_tilde = g_mean and c2 = (1/sigma2_tilde - 1/sigma2)/2
+    = g_logstd / (2 sigma2), from kl_gaussian_gradient g; the latter keeps
+    the digits a difference of reciprocals loses next to sigma2 =
+    sigma2_tilde. E[f] = KL - log p(x). Expanding both estimators' second
+    moments over S iid draws gives
 
         E[f] (E[f] + 4 c2 sigma^2) / (S sigma^2)
             - 2 (c1^2 + c2^2 sigma^2) / (S (S - 1)).
 
-    Positive values mean the leave-one-out estimator wins. The expression
-    is exact for every S >= 2; the first term carries E[f]^2, so additive
-    normalisation of f matters (only the plain estimator is sensitive to
-    it), including the log evidence and the log sigma2_tilde/sigma2
-    constant inside the KL. At mu=1, mu_tilde=2, sigma2 = sigma2_tilde = 1
-    and log p(x) = 0 it reduces to (1 - 8/(S-1)) / (4S), which crosses zero
-    exactly at S = 9.
+    Positive values mean the leave-one-out estimator wins. It is exact for
+    every S >= 2. The first term carries E[f]^2, so the plain estimator is
+    sensitive to additive normalisation of f, including the log evidence
+    and the KL's log sigma2_tilde/sigma2 constant. At mu=1, mu_tilde=2,
+    sigma2 = sigma2_tilde = 1 and log p(x) = 0 it reduces to
+    (1 - 8/(S-1)) / (4S), which crosses zero exactly at S = 9.
     """
     if q_params.dim != 1 or target.dim != 1:
         raise ValueError("delta_var_analytic needs a 1-D q and target")
     if S < 2:
         raise ValueError("S must be >= 2")
     s = float(S)
-    s2, s2t = float(q_params.var[0]), float(target.post_var[0])
-    c1 = float(q_params.mean[0] - target.post_mean[0]) / s2t
-    c2 = 0.5 * float(delta_cv_analytic(q_params, target)[0]) / s2
+    g, s2 = kl_gaussian_gradient(q_params, target), float(q_params.var[0])
+    c1, c2 = float(g[0]), 0.5 * float(g[1]) / s2
     ef = expected_f_analytic(q_params, target)
     out = ef * (ef + 4.0 * c2 * s2) / (s * s2) - 2.0 * (c1**2 + c2**2 * s2) / (s * (s - 1.0))
     # Python float products give inf silently where a power would raise
@@ -131,23 +126,21 @@ def score_variance_analytic(q_params: DiagGaussianParams) -> np.ndarray:
 
 def delta_cv_analytic(q_params: DiagGaussianParams, target: GaussianTarget) -> np.ndarray:
     """Population correction term Cov(f, score_i^2)/Var(score_i) per library
-    coordinate (mean block then log-std block), length 2D.
+    coordinate (mean block then log-std block), length 2D: g_logstd and
+    2 g_logstd, g_logstd = sigma^2/sigma_tilde^2 - 1 from kl_gaussian_gradient.
 
-    The ratio is invariant under rescaling a coordinate, so the log-std
-    entries coincide with the log-variance convention:
-        mean_k:    sigma_k^2 / sigma_tilde_k^2 - 1
-        log_std_k: 2 (sigma_k^2 / sigma_tilde_k^2 - 1)
+    These are the analysis module's identities delta_mean_k = g_logstd_k and
+    delta_logstd_k = 2 g_logstd_k + E[f He_4(w_k)]/2 with E[f He_4] = 0, as
+    f is quadratic in z; both are 0 at q = posterior. The ratio is invariant
+    under rescaling a coordinate, so the log-std entries coincide with the
+    log-variance convention.
     """
-    require_same_dim(q_params, target)
-    base = q_params.var / target.post_var - 1.0
-    return np.concatenate([base, 2.0 * base])
+    g_logstd = kl_gaussian_gradient(q_params, target)[q_params.dim :]
+    return np.concatenate([g_logstd, 2.0 * g_logstd])
 
 
 def optimal_a_analytic(q_params: DiagGaussianParams, target: GaussianTarget) -> np.ndarray:
-    """Analytic optimal control-variate coefficient per library coordinate.
-
-    a*_i = E f + Cov(f, score_i^2)/Var(score_i): expected_f_analytic, the
-    expectation of the batch-mean coefficient, plus the correction term.
-    Returns length 2D, ordered (means, log-stds).
-    """
+    """Analytic optimal control-variate coefficient per library coordinate,
+    length 2D (means, log-stds): a*_i = E f + delta_i, expected_f_analytic
+    (the batch-mean coefficient's expectation) plus delta_cv_analytic."""
     return expected_f_analytic(q_params, target) + delta_cv_analytic(q_params, target)

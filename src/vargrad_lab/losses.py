@@ -38,9 +38,8 @@ def require_same_dim(q_params: DiagGaussianParams, target: GaussianTarget) -> No
 def kl_gaussian_closed_form(q_params: DiagGaussianParams, target: GaussianTarget) -> float:
     """KL(q || posterior) for diagonal Gaussians:
     sum_k [ (x_k - log(1 + x_k)) / 2 + (q_mean_k - post_mean_k)^2 / (2 post_var_k) ]
-    with x_k = q_var_k / post_var_k - 1. Additive across coordinates; every
-    term is >= 0, and the first is 0 exactly where x_k is, as in
-    delta_cv_analytic.
+    with x_k = q_var_k / post_var_k - 1 from kl_gaussian_gradient. Every
+    term is >= 0, and the first is 0 exactly where x_k is.
 
     Near q = posterior, x - log(1 + x) cancels to x^2/2 - x^3/3 + ...
     For |x| <= 1/2, x is exact and log1p keeps the difference to ~1e-16 / |x|
@@ -48,8 +47,7 @@ def kl_gaussian_closed_form(q_params: DiagGaussianParams, target: GaussianTarget
     precision (a variance gap of 1e-8 gives 2.5e-17, not 0). Elsewhere
     log(1 + x) is 2 log_std - log post_var, finite even where x + 1
     underflows."""
-    require_same_dim(q_params, target)
-    x = q_params.var / target.post_var - 1.0
+    x = kl_gaussian_gradient(q_params, target)[q_params.dim :]
     log_r = 2.0 * q_params.log_std - np.log(target.post_var)
     near = np.abs(x) <= 0.5
     log_r[near] = np.log1p(x[near])
@@ -64,7 +62,8 @@ def kl_gaussian_closed_form(q_params: DiagGaussianParams, target: GaussianTarget
 def kl_gaussian_gradient(q_params: DiagGaussianParams, target: GaussianTarget) -> np.ndarray:
     """Exact gradient of kl_gaussian_closed_form in the (mean, log_std)
     coordinates: d/d mean_k = (mean_k - post_mean_k)/post_var_k and
-    d/d log_std_k = q_var_k/post_var_k - 1."""
+    d/d log_std_k = q_var_k/post_var_k - 1, formed here and nowhere else:
+    the closed-form KL and the Gaussian oracles read them from this."""
     require_same_dim(q_params, target)
     d_mean = (q_params.mean - target.post_mean) / target.post_var
     d_log_std = q_params.var / target.post_var - 1.0

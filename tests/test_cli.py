@@ -494,7 +494,7 @@ def test_q_whose_draws_round_to_its_mean_is_refused(tmp_path, experiment, body):
 @pytest.mark.parametrize(
     "experiment, body, reason",
     [
-        # squaring the closed form's 1/sigma2_tilde - 1/sigma2 coefficient
+        # squaring the closed form's c2 = g_logstd / (2 sigma2), about -5e159,
         # overflows a Python float, whose message is only an errno pair
         (
             "gaussian-oracles",

@@ -103,8 +103,9 @@ def test_delta_var_matches_quadrature_reference(mu, mu_tilde, sigma2, sigma2_til
 @pytest.mark.parametrize("sigma2, S", [(1.0 + 1e-8, 4), (1.0 - 1e-8, 9)])
 def test_delta_var_is_exact_next_to_the_diagonal(sigma2, S):
     # sigma2 = sigma2_tilde (1 +- 1e-8): c2 = (1/sigma2_tilde - 1/sigma2) / 2
-    # cancels to ~5e-9, and the c2^2 term is nearly all of the gap; the
-    # reference evaluates the same closed form at the stored doubles in
+    # is ~5e-9, read from the gradient as g_logstd / (2 sigma2) with no
+    # difference of reciprocals, and the c2^2 term is nearly all of the gap;
+    # the reference evaluates the same closed form at the stored doubles in
     # 60-digit decimal arithmetic
     q, t = _gaussian_pair(0.0, 0.0, sigma2, 1.0)
     with decimal.localcontext() as ctx:
@@ -136,8 +137,9 @@ def test_delta_var_validates_inputs():
         delta_var_analytic(*_gaussian_pair(0, 0, 1.0, 1.0, dims=2), 4)  # the closed form is 1-D
     with pytest.raises(ValueError):
         delta_var_analytic(q, _gaussian_pair(0, 0, 1.0, 1.0, dims=2)[1], 4)
-    # every public caller of losses.require_same_dim refuses a 1-D q against
-    # a 2-D target, which numpy would broadcast; post_var 2 > q's var 1, so
+    # every function that reaches losses.require_same_dim, directly or
+    # through kl_gaussian_gradient, refuses a 1-D q against a 2-D target,
+    # which numpy would broadcast; post_var 2 > q's var 1, so
     # q has the lighter tails gaussian_sup_ratio needs
     t2 = _gaussian_pair(0, 0, 1.0, 2.0, dims=2)[1]
     callers = [

@@ -157,8 +157,9 @@ def test_kl_at_moderate_variance_gaps_matches_exact_arithmetic(k, sign):
 
 def test_kl_is_zero_exactly_where_the_variance_ratio_is_one():
     # q built from sigma2 as experiments build it: exp(2 * log_std) misses
-    # sigma2 by an ulp for about a third of values, and delta_cv_analytic's
-    # r - 1 is then nonzero; the KL must be 0 exactly when r - 1 is
+    # sigma2 by an ulp for about a third of values, and the gradient's
+    # r - 1, which the KL and delta_cv_analytic read, is then nonzero; the KL
+    # must be 0 exactly when r - 1 is
     for s2 in np.linspace(0.1, 10.0, 60):
         q = gauss([2.0, -1.0], [0.5 * math.log(s2)] * 2)
         t = GaussianTarget(post_mean=np.array([2.0, -1.0]), post_var=np.array([s2, s2]))
